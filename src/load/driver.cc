@@ -204,6 +204,7 @@ LoadReport RunMesosLoad(const DriverConfig& config,
                                     wall_start)
           .count();
   report.makespan = outcome.makespan;
+  report.allocator = outcome.stats;
 
   // The Mesos substrate assigns a fresh launch id per (re)launch, so pending
   // times are matched FIFO per framework: registration enqueues one entry

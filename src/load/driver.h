@@ -72,6 +72,8 @@ struct LoadReport {
   LatencySeries all;
   std::vector<LatencySeries> per_class;  // one per mix class, stream order
   std::vector<QueueSample> queue_depth;
+  // Mesos lanes only: the master's offer counters for the run.
+  mesos::AllocatorStats allocator;
 };
 
 // Runs the stream through the DES substrate (sim/des.h) under `policy`.

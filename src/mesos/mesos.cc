@@ -6,10 +6,14 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <queue>
+#include <utility>
 
 #include "core/online/ranker.h"
 #include "telemetry/telemetry.h"
+#include "util/bitset.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -51,7 +55,11 @@ struct FrameworkState {
   // updated on every launch/finish instead of recomputed per comparison.
   double coeff = 0.0;
   double key = 0.0;
-  std::vector<bool> allowed;  // per slave
+  std::size_t shape = 0;  // index of the interned demand vector
+  // Whitelisted slaves by fit position (see RunCluster); empty for a
+  // framework that may use every slave.
+  DynamicBitset allowed;
+  bool candidate = false;  // on the master's candidate list
   // Fault state: offers the master will drop/rescind (one per allocation
   // cycle), and the end of the current decline-everything window.
   long pending_drops = 0;
@@ -178,8 +186,25 @@ SimOutcome RunCluster(const ClusterConfig& config,
                     static_cast<std::uint32_t>(slave)});
   };
 
+  SimOutcome outcome;
+  outcome.frameworks.resize(num_frameworks);
+  AllocatorStats& stats = outcome.stats;
+
   Rng rng(config.seed);
+  // Each distinct demand vector is one shape. The monopoly count h, the
+  // DRF-normalized demand and the fit set are per shape, not per framework.
+  struct Shape {
+    ResourceVector demand;
+    double h = 0.0;
+    ResourceVector normalized;  // demand / cluster total, per resource
+    // Bit p is set iff slave order[p] (the fit order, below) is up, not
+    // exactly full, and has room for one task of this shape.
+    DynamicBitset fits;
+  };
+  std::vector<Shape> shapes;
+  std::map<std::vector<double>, std::size_t> shape_ids;
   std::vector<FrameworkState> frameworks(num_frameworks);
+  std::size_t num_unconstrained = 0;
   for (std::size_t f = 0; f < num_frameworks; ++f) {
     FrameworkState& fw = frameworks[f];
     fw.spec = framework_specs[f];
@@ -189,34 +214,32 @@ SimOutcome RunCluster(const ClusterConfig& config,
     // zero and launch tasks onto fully-packed (or crashed) nodes.
     TSF_CHECK_GT(fw.spec.demand.MaxComponent(), 0.0)
         << fw.spec.name << ": all-zero task demand";
-    fw.allowed.assign(num_slaves, fw.spec.whitelist.empty());
-    for (const std::size_t s : fw.spec.whitelist) {
-      TSF_CHECK_LT(s, num_slaves);
-      fw.allowed[s] = true;
-    }
-    bool fits_somewhere = false;
-    for (std::size_t s = 0; s < num_slaves; ++s) {
-      fw.h += config.slaves[s].capacity.DivisibleTaskCount(fw.spec.demand);
-      fits_somewhere |=
-          fw.allowed[s] && config.slaves[s].capacity.Fits(fw.spec.demand);
-    }
-    TSF_CHECK(fits_somewhere) << fw.spec.name << ": no slave fits a task";
+    // A zero weight makes the TSF key 0 * inf = NaN, which no (key, id)
+    // order can rank; a negative one silently ranks the job first.
+    TSF_CHECK(std::isfinite(fw.spec.weight) && fw.spec.weight > 0.0)
+        << fw.spec.name << ": weight must be finite and positive, got "
+        << fw.spec.weight;
+    // Either would schedule finishes before their launch (or never).
+    TSF_CHECK(std::isfinite(fw.spec.mean_runtime) && fw.spec.mean_runtime > 0.0)
+        << fw.spec.name << ": mean_runtime must be finite and positive, got "
+        << fw.spec.mean_runtime;
+    TSF_CHECK(fw.spec.runtime_jitter >= 0.0 && fw.spec.runtime_jitter < 1.0)
+        << fw.spec.name << ": runtime_jitter must be in [0, 1), got "
+        << fw.spec.runtime_jitter;
+    TSF_CHECK(std::isfinite(fw.spec.start_time))
+        << fw.spec.name << ": start_time must be finite, got "
+        << fw.spec.start_time;
+    for (const std::size_t s : fw.spec.whitelist) TSF_CHECK_LT(s, num_slaves);
+    if (fw.spec.whitelist.empty()) ++num_unconstrained;
+    const auto [shape_id, added] =
+        shape_ids.try_emplace(fw.spec.demand.values(), shapes.size());
+    if (added)
+      shapes.push_back(Shape{fw.spec.demand, 0.0, ResourceVector(resources),
+                             DynamicBitset(num_slaves)});
+    fw.shape = shape_id->second;
     fw.stats.name = fw.spec.name;
     fw.stats.start_time = fw.spec.start_time;
     fw.stats.first_task_time = std::numeric_limits<double>::infinity();
-    fw.stats.h = fw.h;
-    // Cache the share-key coefficient once per framework, reusing the
-    // online scheduler's ranker (kTsf → 1/(h·w); kDrf → dominant share of
-    // the normalized demand / w).
-    ResourceVector normalized_demand(resources);
-    for (std::size_t r = 0; r < resources; ++r)
-      if (total[r] > 0.0) normalized_demand[r] = fw.spec.demand[r] / total[r];
-    const OnlinePolicy ranker_policy = config.policy == AllocatorPolicy::kTsf
-                                           ? OnlinePolicy::Tsf()
-                                           : OnlinePolicy::Drf();
-    fw.coeff = ShareCoefficient(ranker_policy, normalized_demand,
-                                fw.spec.weight, fw.h, fw.h);
-    fw.UpdateKey();
 #if defined(TSF_TELEMETRY)
     fw.accepted_counter = &telemetry::Registry::Get().GetCounter(
         "mesos.offers." + fw.spec.name + ".accepted");
@@ -233,10 +256,73 @@ SimOutcome RunCluster(const ClusterConfig& config,
   // constrained jobs depend on (cf. Choosy's placement guidance). Without
   // this, index-order first-fit lets unconstrained jobs squat on scarce
   // whitelisted nodes and the tight packings behind Thm. 1 are missed.
-  std::vector<std::size_t> contention(num_slaves, 0);
-  for (const FrameworkState& fw : frameworks)
-    for (std::size_t s = 0; s < num_slaves; ++s)
-      if (fw.allowed[s]) ++contention[s];
+  // `counted_for` keeps a whitelist that repeats a slave from counting twice.
+  std::vector<std::size_t> contention(num_slaves, num_unconstrained);
+  std::vector<std::size_t> counted_for(num_slaves, num_frameworks);
+  for (std::size_t f = 0; f < num_frameworks; ++f)
+    for (const std::size_t s : frameworks[f].spec.whitelist)
+      if (counted_for[s] != f) {
+        counted_for[s] = f;
+        ++contention[s];
+      }
+  // The fit order: slaves sorted by (contention, index). The first slave in
+  // this order that a framework may use and that fits its task is the
+  // least-contended fitting slave, ties going to the lowest index.
+  std::vector<std::size_t> order(num_slaves);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair(contention[a], a) < std::pair(contention[b], b);
+  });
+  std::vector<std::size_t> position(num_slaves);  // inverse of `order`
+  for (std::size_t p = 0; p < num_slaves; ++p) position[order[p]] = p;
+
+  // Re-derives slave s's bit in every shape's fit set. Called whenever the
+  // slave's free vector or up state changes, so the fit sets are always
+  // current and an offer needs no slave scan.
+  auto refresh = [&](std::size_t s) {
+    bool open = true;
+    if (!up[s]) {
+      ++stats.down_slave_skips;
+      open = false;
+    } else if (free[s].IsZero()) {
+      ++stats.zero_slave_skips;
+      open = false;
+    }
+    for (Shape& shape : shapes)
+      shape.fits.Assign(position[s], open && free[s].Fits(shape.demand));
+  };
+  for (Shape& shape : shapes) {
+    // Slave index order: h is a floating-point sum.
+    for (const SlaveSpec& slave : config.slaves)
+      shape.h += slave.capacity.DivisibleTaskCount(shape.demand);
+    for (std::size_t r = 0; r < resources; ++r)
+      if (total[r] > 0.0) shape.normalized[r] = shape.demand[r] / total[r];
+  }
+  for (std::size_t s = 0; s < num_slaves; ++s) refresh(s);
+
+  const OnlinePolicy ranker_policy = config.policy == AllocatorPolicy::kTsf
+                                         ? OnlinePolicy::Tsf()
+                                         : OnlinePolicy::Drf();
+  for (FrameworkState& fw : frameworks) {
+    const Shape& shape = shapes[fw.shape];
+    if (!fw.spec.whitelist.empty()) {
+      fw.allowed = DynamicBitset(num_slaves);
+      for (const std::size_t s : fw.spec.whitelist) fw.allowed.Set(position[s]);
+    }
+    // Every slave is still up and empty, so the fit set holds exactly the
+    // slaves with room for one task.
+    TSF_CHECK(fw.allowed.empty() ? shape.fits.Any()
+                                 : fw.allowed.Intersects(shape.fits))
+        << fw.spec.name << ": no slave fits a task";
+    fw.h = shape.h;
+    fw.stats.h = fw.h;
+    // Cache the share-key coefficient once per framework, reusing the
+    // online scheduler's ranker (kTsf → 1/(h·w); kDrf → dominant share of
+    // the normalized demand / w).
+    fw.coeff = ShareCoefficient(ranker_policy, shape.normalized,
+                                fw.spec.weight, fw.h, fw.h);
+    fw.UpdateKey();
+  }
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t seq = 0;
@@ -248,10 +334,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
   // task is killed and requeued, not completed).
   for (std::size_t i = 0; i < faults.size(); ++i)
     events.push(Event{faults[i].time, seq++, Event::Kind::kFault, i, 0});
-
-  SimOutcome outcome;
-  outcome.frameworks.resize(num_frameworks);
-  AllocatorStats& stats = outcome.stats;
 
   auto sample_timeline = [&](double now) {
     TSF_TRACE_SCOPE("mesos", "sample_timeline");
@@ -271,15 +353,36 @@ SimOutcome RunCluster(const ClusterConfig& config,
     outcome.timeline.push_back(std::move(point));
   };
 
+  // Frameworks that may have a task to launch. Every registered framework
+  // with an unlaunched task is on the list; FrameworkState::candidate keeps
+  // it free of duplicates. Registration, re-registration, kills and task
+  // failures add a framework; the first round that finds it disconnected or
+  // with every task launched drops it.
+  std::vector<std::size_t> candidates;
+  auto add_candidate = [&](std::size_t f) {
+    FrameworkState& fw = frameworks[f];
+    if (fw.candidate) return;
+    fw.candidate = true;
+    candidates.push_back(f);
+  };
+
   // The master's allocation cycle, mirroring the mesos-master + paper's
   // online algorithm: repeatedly offer free resources to the framework with
   // the lowest share that can actually launch a task, launch *one* task,
   // and re-rank. Like Mesos's DRF sorter, the re-rank touches only the
-  // launched framework: the others sit in a (key, id) min-heap, so each
-  // launch costs O(log frameworks) selection plus the slave probe. Within
-  // one cycle free capacity only shrinks, so a framework with no fitting
-  // whitelisted slave is dropped from the heap for the rest of the cycle.
+  // launched framework: the candidates sit in a (key, id) min-heap, so each
+  // launch costs O(log candidates) selection plus one fit query, the first
+  // set bit of `allowed ∧ fits[shape]`. Within one cycle free capacity only
+  // shrinks, so a framework with no fitting whitelisted slave is dropped
+  // from the heap for the rest of the cycle.
+  //
+  // Both choices depend only on the master's state, not on how it is
+  // indexed: the heap pops exactly the registered frameworks with an
+  // unlaunched task, in (key, id) order, which is a total order, and the
+  // fit query returns the least-contended fitting slave. So each launch,
+  // and the one RNG draw it makes, keeps its place in the sequence.
   RankHeap offer_heap;
+  offer_heap.Reserve(num_frameworks);
   auto run_allocation = [&](double now) {
     TSF_TRACE_SCOPE("mesos", "offer_round");
     TSF_COUNTER_ADD("mesos.offer_rounds", 1);
@@ -295,22 +398,23 @@ SimOutcome RunCluster(const ClusterConfig& config,
     {
       TSF_TRACE_SCOPE("mesos", "allocator_sort");
       offer_heap.Clear();
-      offer_heap.Reserve(num_frameworks);
-      for (std::size_t f = 0; f < num_frameworks; ++f) {
-        const FrameworkState& fw = frameworks[f];
-        if (fw.Active() && fw.HasPending()) offer_heap.PushUnordered(fw.key, f);
+      std::size_t kept = 0;
+      for (const std::size_t f : candidates) {
+        FrameworkState& fw = frameworks[f];
+        fw.candidate = fw.Active() && fw.HasPending();
+        if (!fw.candidate) continue;
+        candidates[kept++] = f;
+        offer_heap.PushUnordered(fw.key, f);
       }
+      candidates.resize(kept);
       offer_heap.Heapify();
     }
 
     while (!offer_heap.Empty()) {
       const RankEntry entry = offer_heap.PopMin();
       FrameworkState& fw = frameworks[entry.id];
-      if (entry.key != fw.key) {  // stale entry: re-rank at the current key
-        TSF_COUNTER_ADD("mesos.allocator.stale_entries", 1);
-        offer_heap.Push(fw.key, entry.id);
-        continue;
-      }
+      // Only a launch changes a key within a cycle, and it re-pushes.
+      TSF_DCHECK(entry.key == fw.key);
       // Injected faults intercept the offer before the framework sees it
       // (drop/rescind) or make the framework sit the cycle out (a
       // decline-timeout window). One offer per cycle either way.
@@ -331,26 +435,16 @@ SimOutcome RunCluster(const ClusterConfig& config,
         TSF_COUNTER_ADD("chaos.mesos.blackout_declines", 1);
         continue;  // out for the rest of this cycle
       }
-      // Least-contended fitting slave for this framework (see `contention`).
-      // Down slaves are never offered, and neither are slaves whose free
-      // capacity is exactly zero — an offer of nothing can only be declined
-      // (and pre-dated the demand-positivity check, could even be accepted).
-      std::size_t slave = num_slaves;
-      for (std::size_t s = 0; s < num_slaves; ++s) {
-        if (!fw.allowed[s]) continue;
-        ++stats.probes;
-        if (!up[s]) {
-          ++stats.down_slave_skips;
-          continue;
-        }
-        if (free[s].IsZero()) {
-          ++stats.zero_slave_skips;
-          continue;
-        }
-        if (!free[s].Fits(fw.spec.demand)) continue;
-        if (slave == num_slaves || contention[s] < contention[slave]) slave = s;
-      }
-      if (slave == num_slaves) {
+      // Least-contended fitting slave for this framework: the first fit
+      // position it may use (see `order`). Down slaves are in no fit set,
+      // and neither are slaves whose free capacity is exactly zero — an
+      // offer of nothing can only be declined.
+      ++stats.probes;
+      const DynamicBitset& fits = shapes[fw.shape].fits;
+      const std::size_t fit = fw.allowed.empty()
+                                  ? fits.FindFirst()
+                                  : fw.allowed.FindFirstAnd(fits);
+      if (fit == num_slaves) {
         // The framework implicitly declines: nothing it may use fits.
         ++stats.offers_declined;
         TSF_COUNTER_ADD("mesos.offers.declined", 1);
@@ -359,12 +453,14 @@ SimOutcome RunCluster(const ClusterConfig& config,
 #endif
         continue;  // out for the rest of this cycle
       }
+      const std::size_t slave = order[fit];
 
       // Launch exactly one task, then re-rank — re-ranking after every
       // allocation is what keeps simultaneously-registered equal-share
       // frameworks interleaved instead of letting the first one absorb a
       // whole node.
       free[slave] -= fw.spec.demand;
+      refresh(slave);
       ++fw.launched;
       ++fw.running;
       fw.UpdateKey();
@@ -420,6 +516,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       switch (event.kind) {
         case Event::Kind::kRegister:
           frameworks[event.framework].registered = true;
+          add_candidate(event.framework);
 #if defined(TSF_TELEMETRY)
           if (telemetry::Enabled()) {
             FrameworkState& rfw = frameworks[event.framework];
@@ -448,6 +545,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
             on.pop_back();
           }
           free[event.slave] += fw.spec.demand;
+          refresh(event.slave);
           --fw.running;
           fw.UpdateKey();
           ++fw.finished;
@@ -483,6 +581,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
                 --vfw.running;
                 --vfw.launched;  // re-enters the pending pool
                 vfw.UpdateKey();
+                add_candidate(rt.framework);
 #if defined(TSF_TELEMETRY)
                 if (telemetry::Enabled())
                   vfw.ttp_pending_since.push_back(now);
@@ -492,6 +591,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               on.clear();
               up[s] = false;
               free[s] = ResourceVector(resources);
+              refresh(s);
               emit(MasterEvent::Kind::kCrash, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_crashes", 1);
               state_changed = true;
@@ -503,6 +603,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               TSF_CHECK(!up[s]) << "restart of up slave " << s;
               up[s] = true;
               free[s] = config.slaves[s].capacity;
+              refresh(s);
               emit(MasterEvent::Kind::kRestart, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_restarts", 1);
               state_changed = true;
@@ -525,11 +626,13 @@ SimOutcome RunCluster(const ClusterConfig& config,
               --vfw.running;
               --vfw.launched;  // re-enters the pending pool
               vfw.UpdateKey();
+              add_candidate(rt.framework);
 #if defined(TSF_TELEMETRY)
               if (telemetry::Enabled())
                 vfw.ttp_pending_since.push_back(now);
 #endif
               free[s] += vfw.spec.demand;
+              refresh(s);
               emit(MasterEvent::Kind::kFail, now, rt.framework, rt.task, s);
               TSF_COUNTER_ADD("chaos.mesos.task_failures", 1);
               state_changed = true;
@@ -573,6 +676,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               TSF_CHECK(!fw.registered)
                   << "re-register of registered framework " << fault.target;
               fw.registered = true;
+              add_candidate(fault.target);
               emit(MasterEvent::Kind::kReregister, now, fault.target, 0, 0);
               state_changed = true;
               break;

@@ -80,11 +80,14 @@ struct FrameworkStats {
 // telemetry build flag needed — regression tests assert on these).
 struct AllocatorStats {
   long rounds = 0;            // allocation cycles run
-  long probes = 0;            // slave fit probes across all cycles
-  long zero_slave_skips = 0;  // probes short-circuited: free capacity is
-                              // exactly zero (pre-fix these emitted empty
-                              // offers the framework could only decline)
-  long down_slave_skips = 0;  // probes short-circuited: slave is down
+  long probes = 0;            // fit queries, one per offer that reaches a
+                              // framework: offers_accepted + offers_declined
+  long zero_slave_skips = 0;  // fit-index refreshes that left a slave out of
+                              // every fit set because its free capacity is
+                              // exactly zero (never offered: an offer of
+                              // nothing could only be declined)
+  long down_slave_skips = 0;  // fit-index refreshes that left a slave out of
+                              // every fit set because it is down
   long offers_accepted = 0;
   long offers_declined = 0;   // nothing the framework may use fits
   long offers_dropped = 0;    // master dropped the offer (injected fault)

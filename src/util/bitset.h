@@ -145,6 +145,16 @@ class DynamicBitset {
     return size_;
   }
 
+  // Index of the first bit set in both this and other, or size() if none
+  // (FindFirst of the AND, without materializing it).
+  std::size_t FindFirstAnd(const DynamicBitset& other) const {
+    TSF_DCHECK(size_ == other.size_);
+    for (std::size_t wi = 0; wi < words_.size(); ++wi)
+      if (const std::uint64_t w = words_[wi] & other.words_[wi]; w != 0)
+        return wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+    return size_;
+  }
+
   // Index of the first set bit >= from, or size() if none. Lets callers keep
   // a resumable cursor over the set bits without materializing them.
   std::size_t FindNextSet(std::size_t from) const {

@@ -1,8 +1,9 @@
 // Golden determinism tests: the placement streams of fixed (policy, seed)
 // chaos scenarios are pinned by FNV-1a hash in tests/golden/, plus one
-// fully-expanded stream for first-divergence diffing. Any change to
-// scheduler tie-breaking, event ordering, or fault semantics shows up here
-// as an exact diff instead of a silent behavior shift.
+// fully-expanded stream for first-divergence diffing and the Mesos master's
+// streams on a 1000-slave fleet. Any change to scheduler tie-breaking, event
+// ordering, or fault semantics shows up here as an exact diff instead of a
+// silent behavior shift.
 //
 // To bless intentional changes:  TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream
 // (rewrites the files under tests/golden/, then commit the diff).
@@ -18,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plan.h"
 #include "chaos/scenario.h"
+#include "load/driver.h"
 
 namespace tsf::chaos {
 namespace {
@@ -147,6 +150,102 @@ TEST(GoldenStreamTest, FullStreamMatchesWithFirstDivergenceDiff) {
         << "first divergence at event #" << i << " of " << lines.size();
   EXPECT_EQ(lines.size(), golden.size())
       << "streams agree on the first " << n << " events but lengths differ";
+}
+
+// The Mesos master on the 1000-slave observatory fleet
+// (load::MakeLoadSlaves), where the chaos scenarios' 2-4 slaves never
+// exercise the contention order or multi-word slave bitsets: TSF and DRF at
+// 12 and 20 jobs/s over a 120 s window (stream seed 1), with and without
+// the machine-fault overlay in kFleetPlanFile. Each lane pins the load
+// driver's placement hash and two offer counters. Lane names and hashes
+// match `slo_report --machines 1000 --duration 120 --rates 12,20
+// --substrates mesos [--fault_plan tests/golden/mesos_fleet1000.plan]`.
+constexpr const char* kFleetFile = TSF_GOLDEN_DIR "/mesos_fleet1000.txt";
+constexpr const char* kFleetPlanFile = TSF_GOLDEN_DIR "/mesos_fleet1000.plan";
+constexpr std::size_t kFleetSlaves = 1000;
+
+struct FleetLane {
+  std::string hash;
+  long rounds = 0;
+  long declined = 0;
+};
+
+std::string FleetLaneLine(const std::string& name, const FleetLane& lane) {
+  return name + " " + lane.hash + " rounds=" + std::to_string(lane.rounds) +
+         " declined=" + std::to_string(lane.declined);
+}
+
+TEST(GoldenStreamTest, MesosFleetStreamsMatchGolden) {
+  std::ifstream plan_in(kFleetPlanFile);
+  ASSERT_TRUE(plan_in.good()) << "missing " << kFleetPlanFile;
+  std::stringstream plan_text;
+  plan_text << plan_in.rdbuf();
+  const FaultPlan plan = ParseFaultPlan(plan_text.str());
+  ASSERT_EQ(ValidateFaultPlan(plan, kFleetSlaves, 0), "");
+  const std::vector<mesos::Fault> faults = CompileForMesos(plan);
+
+  std::map<std::string, FleetLane> lanes;
+  for (const bool faulted : {false, true})
+    for (const int rate : {12, 20})
+      for (const mesos::AllocatorPolicy policy :
+           {mesos::AllocatorPolicy::kTsf, mesos::AllocatorPolicy::kDrf}) {
+        load::DriverConfig config;
+        config.stream.rate = rate;
+        config.stream.duration = 120.0;
+        config.stream.seed = 1;
+        config.num_machines = kFleetSlaves;
+        const load::LoadReport report = load::RunMesosLoad(
+            config, policy, faulted ? faults : std::vector<mesos::Fault>{});
+        const mesos::AllocatorStats& stats = report.allocator;
+        const std::string name =
+            std::string("mesos_") +
+            (policy == mesos::AllocatorPolicy::kTsf ? "tsf" : "drf") + "_r" +
+            std::to_string(rate) + (faulted ? "_faults" : "");
+        lanes[name] = FleetLane{"0x" + HashHex(report.placement_hash),
+                                stats.rounds, stats.offers_declined};
+        if (UpdateMode()) continue;
+        // One fit query per offer that reaches a framework: it launches a
+        // task or declines.
+        EXPECT_EQ(stats.probes, stats.offers_accepted + stats.offers_declined)
+            << name;
+        EXPECT_EQ(stats.offers_accepted,
+                  static_cast<long>(report.placements))
+            << name;
+        if (faulted) {
+          EXPECT_GT(report.requeues, 0u) << name;
+          EXPECT_GT(stats.down_slave_skips, 0) << name;
+        }
+      }
+
+  if (UpdateMode()) {
+    std::ofstream out(kFleetFile);
+    ASSERT_TRUE(out.good()) << "cannot write " << kFleetFile;
+    out << "# lane -> load-driver placement hash, offer rounds, declines;\n"
+        << "# regenerate with TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream\n";
+    for (const auto& [name, lane] : lanes)
+      out << FleetLaneLine(name, lane) << "\n";
+    GTEST_SKIP() << "fleet goldens rewritten (" << lanes.size() << " lanes)";
+  }
+
+  std::ifstream in(kFleetFile);
+  ASSERT_TRUE(in.good()) << "missing " << kFleetFile
+                         << "; run once with TSF_UPDATE_GOLDEN=1";
+  std::map<std::string, std::string> golden;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    golden[line.substr(0, line.find(' '))] = line;
+  }
+  EXPECT_EQ(golden.size(), lanes.size());
+  for (const auto& [name, lane] : lanes) {
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "no golden entry for '" << name << "'";
+      continue;
+    }
+    EXPECT_EQ(FleetLaneLine(name, lane), it->second)
+        << "a deliberate behavior change needs TSF_UPDATE_GOLDEN=1";
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "mesos/mesos.h"
 
@@ -183,6 +184,51 @@ TEST(RunClusterDeathTest, RejectsImpossibleFramework) {
   EXPECT_DEATH(RunCluster(config, {fw}), "no slave fits");
 }
 
+// RunCluster on Table II's jobs with job2's `field` set to `value`.
+SimOutcome RunTableTwoWith(double FrameworkSpec::*field, double value) {
+  ClusterConfig config;
+  config.slaves = PaperFleet();
+  config.sample_interval = 0.0;
+  std::vector<FrameworkSpec> jobs = TableTwoJobs();
+  jobs[1].*field = value;
+  return RunCluster(config, jobs);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(RunClusterDeathTest, RejectsNonPositiveOrNonFiniteWeight) {
+  // Weight 0 used to hang the master (the TSF key 0 * inf is NaN, so the
+  // offer heap never settled); weight -1 silently ranked job2 first.
+  for (const double weight : {0.0, -1.0, kInf, kNaN})
+    EXPECT_DEATH(RunTableTwoWith(&FrameworkSpec::weight, weight),
+                 "job2: weight must be finite and positive")
+        << weight;
+}
+
+TEST(RunClusterDeathTest, RejectsNonPositiveOrNonFiniteMeanRuntime) {
+  // A negative mean runtime used to schedule finishes in the past (job2's
+  // first_task_time read -723 s).
+  for (const double runtime : {-5.0, 0.0, kInf, kNaN})
+    EXPECT_DEATH(RunTableTwoWith(&FrameworkSpec::mean_runtime, runtime),
+                 "job2: mean_runtime must be finite and positive")
+        << runtime;
+}
+
+TEST(RunClusterDeathTest, RejectsRuntimeJitterOutsideUnitInterval) {
+  // Jitter 1 or more lets a task's runtime reach zero or go negative.
+  for (const double jitter : {-0.1, 1.0, 1.5, kNaN})
+    EXPECT_DEATH(RunTableTwoWith(&FrameworkSpec::runtime_jitter, jitter),
+                 "job2: runtime_jitter must be in")
+        << jitter;
+}
+
+TEST(RunClusterDeathTest, RejectsNonFiniteStartTime) {
+  for (const double start : {kInf, -kInf, kNaN})
+    EXPECT_DEATH(RunTableTwoWith(&FrameworkSpec::start_time, start),
+                 "job2: start_time must be finite")
+        << start;
+}
 
 // --- offer-path regression + fault injection --------------------------------
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 
 #include "sim/des.h"
 #include "trace/google.h"
@@ -101,6 +102,10 @@ struct BadInputCase {
   const char* expected_error;
 };
 
+// Prints the case by name. gtest's fallback dumps the struct's bytes, and its
+// pointers, which move from run to run, would end up in the ctest test names.
+void PrintTo(const BadInputCase& c, std::ostream* os) { *os << c.name; }
+
 class WorkloadIoBadInput : public ::testing::TestWithParam<BadInputCase> {};
 
 TEST_P(WorkloadIoBadInput, IsRejectedWithDiagnostic) {
@@ -121,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInputCase{"bad_keyword",
                      "resources 1\nmachine 1 attrs -\nfrobnicate\n",
                      "unknown keyword"},
-        BadInputCase{"job_without_runtimes",
+        BadInputCase{"job_no_runtimes",
                      "resources 1\nmachine 4 attrs -\n"
                      "job a arrival 0 weight 1 demand 1 constraint none\n",
                      "ends before runtimes"},
@@ -138,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
                      "job a arrival 0 weight 0 demand 1 constraint none\n"
                      "runtimes 1\n",
                      "bad weight"},
-        BadInputCase{"unknown_constraint",
+        BadInputCase{"bad_constraint",
                      "resources 1\nmachine 4 attrs -\n"
                      "job a arrival 0 weight 1 demand 1 constraint sometimes 1\n"
                      "runtimes 1\n",

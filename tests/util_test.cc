@@ -238,6 +238,36 @@ TEST(DynamicBitset, FindFirst) {
   EXPECT_EQ(bits.FindFirst(), 3u);
 }
 
+TEST(DynamicBitset, FindFirstAndMatchesMaterializedIntersection) {
+  for (const std::size_t size : {1u, 64u, 65u, 1000u}) {
+    DynamicBitset a(size), b(size);
+    // No common bit: a holds the even indices, b the odd ones.
+    for (std::size_t i = 0; i < size; ++i) (i % 2 == 0 ? a : b).Set(i);
+    EXPECT_EQ(a.FindFirstAnd(b), size) << size;
+    EXPECT_EQ(a.FindFirstAnd(DynamicBitset(size)), size) << size;
+    // A common bit at the very last index, which sits in a partial last
+    // word unless the size is a multiple of 64.
+    b.Set(size - 1);
+    a.Set(size - 1);
+    EXPECT_EQ(a.FindFirstAnd(b), size - 1) << size;
+    EXPECT_EQ(a.FindFirstAnd(b), (a & b).FindFirst()) << size;
+    EXPECT_EQ(b.FindFirstAnd(a), size - 1) << size;
+    // An earlier common bit wins.
+    if (size > 2) {
+      b.Set(0);
+      EXPECT_EQ(a.FindFirstAnd(b), 0u) << size;
+    }
+  }
+  // Overlap only in the last partial word.
+  DynamicBitset a(130), b(130);
+  a.Set(3);
+  a.Set(129);
+  b.Set(64);
+  b.Set(129);
+  EXPECT_EQ(a.FindFirstAnd(b), 129u);
+  EXPECT_EQ(DynamicBitset(0).FindFirstAnd(DynamicBitset(0)), 0u);
+}
+
 // --------------------------------------------------------------- rng ----
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -34,6 +34,9 @@
 #   slo       sustained-load SLO smoke: slo_report rate-1 lanes on both
 #             substrates gated against BENCH_slo.json (tools/slo_gate.sh;
 #             skipped without a baseline)
+#   perfbench build the repo benchmark (perfbench/) and run its self-test:
+#             every workload at toy size, traced and untraced, with its
+#             output checks (python3 perfbench/run.py --self_test)
 #
 # Usage:
 #   tools/analyze.sh              run every step
@@ -46,7 +49,7 @@ set -u
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo_root"
 
-steps="${*:-release asan tsan tidy annotate lint determinism format bench scale fuzz slo}"
+steps="${*:-release asan tsan tidy annotate lint determinism format bench scale fuzz slo perfbench}"
 results=""
 failed=0
 
@@ -133,8 +136,11 @@ run_step() {
         tools/slo_gate.sh build
       fi
       ;;
+    perfbench)
+      python3 perfbench/run.py --self_test
+      ;;
     *)
-      echo "unknown step: $step (known: release asan tsan tidy annotate lint determinism format bench scale fuzz slo)" >&2
+      echo "unknown step: $step (known: release asan tsan tidy annotate lint determinism format bench scale fuzz slo perfbench)" >&2
       return 2
       ;;
   esac

@@ -1,7 +1,8 @@
 // SLO observatory report: sweeps the open-loop load driver (src/load)
 // across arrival rates on both online substrates and writes BENCH_slo.json
 // with p50/p95/p99 time-to-placement, queue-depth timelines, and the
-// throughput-vs-latency curve per (substrate, policy) pair.
+// throughput-vs-latency curve per (substrate, policy) pair. Mesos lanes also
+// carry the master's offer rounds and declines.
 //
 // Every reported figure except wall_seconds is derived from virtual time,
 // so a lane is a deterministic function of (seed, rate, machines, duration,
@@ -85,8 +86,11 @@ void AppendLaneJson(std::ostream& out, const std::string& name,
       << (report.makespan > 0.0
               ? static_cast<double>(report.placements) / report.makespan
               : 0.0)
-      << ", \"placement_hash\": \"" << HashHex(report.placement_hash)
-      << "\",\n     \"ttp_ms\": ";
+      << ", \"placement_hash\": \"" << HashHex(report.placement_hash) << "\"";
+  if (report.substrate == "mesos")
+    out << ", \"offer_rounds\": " << report.allocator.rounds
+        << ", \"offers_declined\": " << report.allocator.offers_declined;
+  out << ",\n     \"ttp_ms\": ";
   AppendSeriesJson(out, report.all);
   out << ",\n     \"per_class\": [";
   for (std::size_t c = 0; c < report.per_class.size(); ++c) {
