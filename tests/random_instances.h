@@ -1,0 +1,82 @@
+// Seeded random offline instances shared by the filling tests: constrained
+// single-class sharing problems and multi-class problems on small
+// two-resource clusters.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/cluster.h"
+#include "core/offline/multiclass.h"
+#include "util/rng.h"
+
+namespace tsf {
+
+inline SharingProblem RandomSharing(std::size_t users, std::size_t machines,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  SharingProblem problem;
+  for (std::size_t m = 0; m < machines; ++m) {
+    ResourceVector capacity(2);
+    capacity[0] = rng.Uniform(8.0, 32.0);
+    capacity[1] = rng.Uniform(8.0, 64.0);
+    problem.cluster.AddMachine(std::move(capacity));
+  }
+  for (UserId i = 0; i < users; ++i) {
+    JobSpec job;
+    job.id = i;
+    job.name = "u" + std::to_string(i);
+    ResourceVector demand(2);
+    demand[0] = rng.Uniform(0.5, 4.0);
+    demand[1] = rng.Uniform(0.5, 8.0);
+    job.demand = std::move(demand);
+    std::vector<MachineId> allowed;
+    for (MachineId m = 0; m < machines; ++m)
+      if (rng.Chance(0.7)) allowed.push_back(m);
+    if (allowed.empty()) allowed.push_back(rng.Below(machines));
+    if (allowed.size() < machines) job.constraint = Constraint::Whitelist(allowed);
+    problem.jobs.push_back(std::move(job));
+  }
+  return problem;
+}
+
+inline MultiClassProblem RandomMultiClass(std::size_t users,
+                                          std::size_t machines,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  MultiClassProblem problem;
+  for (std::size_t m = 0; m < machines; ++m) {
+    ResourceVector capacity(2);
+    capacity[0] = rng.Uniform(8.0, 24.0);
+    capacity[1] = rng.Uniform(8.0, 32.0);
+    problem.cluster.AddMachine(std::move(capacity));
+  }
+  for (UserId i = 0; i < users; ++i) {
+    MultiClassJobSpec user;
+    user.name = "u" + std::to_string(i);
+    const std::size_t classes = static_cast<std::size_t>(rng.Int(1, 3));
+    double mix_left = 1.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      ResourceVector demand(2);
+      demand[0] = rng.Uniform(0.5, 3.0);
+      demand[1] = rng.Uniform(0.5, 4.0);
+      user.class_demand.push_back(std::move(demand));
+      const double mix = c + 1 == classes ? mix_left
+                                          : mix_left * rng.Uniform(0.2, 0.6);
+      user.class_mix.push_back(mix);
+      mix_left -= mix;
+    }
+    std::vector<MachineId> allowed;
+    for (MachineId m = 0; m < machines; ++m)
+      if (rng.Chance(0.8)) allowed.push_back(m);
+    if (allowed.empty()) allowed.push_back(rng.Below(machines));
+    if (allowed.size() < machines) user.constraint = Constraint::Whitelist(allowed);
+    problem.users.push_back(std::move(user));
+  }
+  return problem;
+}
+
+}  // namespace tsf
