@@ -75,24 +75,22 @@ void BM_ProgressiveFillingTsf(benchmark::State& state) {
 }
 BENCHMARK(BM_ProgressiveFillingTsf)->RangeMultiplier(2)->Range(2, 64);
 
-// --- One warm FREEZE probe branching off a solved round LP: clone the
-// simplex state, floor every other active user, re-solve warm. ---
+// --- One warm FREEZE probe branching off a solved round LP: copy the
+// simplex state into the engine's scratch state, make the probed user's
+// share the objective, re-solve warm up to the saturation threshold. ---
 void BM_FreezeProbe(benchmark::State& state) {
   const CompiledProblem problem = Compile(RandomSharing(16, 16, 11));
   const EdgeLayout layout(problem);
   FillingEngine engine(
       MakeFillingSpec(problem, layout, TsfDenominator(problem)), {});
-  double share = 0.0;
+  double level = 0.0;
   std::vector<double> x;
-  TSF_CHECK(engine.SolveRound(&share, &x));
-  std::vector<double> totals(problem.num_users, 0.0);
-  for (UserId i = 0; i < problem.num_users; ++i)
-    for (const std::size_t e : layout.user_edges[i]) totals[i] += x[e];
+  TSF_CHECK(engine.SolveRound(&level, &x));
   std::vector<bool> probe(problem.num_users, false);
   probe[0] = true;
   std::vector<double> max_share;
   for (auto _ : state) {
-    engine.ProbeMaxShares(probe, totals, &max_share);
+    engine.ProbeMaxShares(probe, /*stop_at_threshold=*/true, &max_share);
     benchmark::DoNotOptimize(max_share.data());
   }
 }

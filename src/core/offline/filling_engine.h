@@ -2,27 +2,50 @@
 //
 // Both the single-class engine (progressive_filling.cc) and multi-class TSF
 // (multiclass.cc) run the same loop: one round LP that raises every active
-// user's share s equally, then one FREEZE probe LP per active user. All of
-// those programs share one constraint matrix and differ only in which users
-// are coupled to s and in the floor right-hand sides — exactly the
-// shape-preserving mutations lp::SimplexState re-solves warm (see
-// lp/revised.h). FillingEngine owns that mapping:
+// user's share to a common level s, then one FREEZE probe LP per active user
+// to find who has saturated. FillingEngine owns that loop's LPs and the
+// freeze decision. It builds one StandardForm per filling run:
 //
-//   * the StandardForm is built ONCE per filling run: for every user a block
-//     of equality "coupling rows" (task totals = share_coeff * s), plus the
-//     capacity rows;
-//   * freezing user j rewrites its rows in place — the s coefficient drops
-//     to zero and the equality relaxes to >= floor — so the next round LP
-//     re-solves warm from the previous round's optimum;
-//   * a FREEZE probe for user j clones the solved round state and applies
-//     the same rewrite to every *other* active user at its current total,
-//     leaving j as the only user coupled to s. The previous round optimum
-//     stays primal feasible, so the probe skips phase 1 entirely.
+//   * columns: the task variables x, one share column u_i per user, and
+//     the level s;
+//   * coupling rows `terms · x - share_coeff · u_i >= 0` (one per
+//     single-class user, one per class for a multi-class user);
+//   * an active row `u_i - s >= 0` per user, and one level row `s >= L`;
+//   * the capacity rows.
 //
-// Probes are pure functions of (solved round state, probed user, totals):
-// each runs on its own clone and writes its own output slot, so fanning them
-// out over ThreadPool::ParallelFor and reducing in user order yields freeze
-// decisions bit-identical to the serial loop.
+// There are no equality rows, so the all-slack basis is feasible and the
+// first round's cold solve skips phase 1. After every round the level row's
+// rhs L becomes the solved level: the level never falls, so this cuts off
+// no later optimum.
+//
+// Every later LP of the run re-solves warm from the round optimum, because
+// neither a probe nor a freeze invalidates the basis (see lp/revised.h):
+//
+//   * a probe for user j copies the solved round state and replaces the
+//     objective s with u_j. B^-1 and the basic solution are unchanged, so
+//     phase 2 resumes from the round optimum. The other active users keep
+//     u_i >= s >= level, the same floors as holding them at the round
+//     level. A probe only has to decide whether u_j can exceed the
+//     saturation threshold level + kShareEps * max(1, level), so it stops
+//     at the first basis that does (an objective cutoff);
+//   * freezing user i pivots its active row's surplus into the basis, zeroes
+//     s's coefficient in that row (a Sherman-Morrison update with beta = 1,
+//     since the row's own surplus is basic) and sets the row's rhs to the
+//     round level: `u_i >= level`. With L already at the level, the pivot
+//     keeps s >= level and hence u_i >= level, so the raised rhs leaves the
+//     basis feasible.
+//
+// The freeze decision is the paper's: an active user saturates when its
+// probe cannot lift it above the threshold. Exact arithmetic guarantees one
+// saturated user per round; if round-off hides it, every active user is
+// re-probed without the cutoff and the one with the smallest exact gap is
+// frozen.
+//
+// Probes are pure functions of (solved round state, probed user): each runs
+// on a scratch copy and writes its own output slot, so fanning them out over
+// ThreadPool::ParallelFor yields values bit-identical to the serial loop.
+// Each worker's block of probes reuses one scratch state, so a probe copies
+// the round state into existing storage instead of allocating a new one.
 #pragma once
 
 #include <cstddef>
@@ -57,15 +80,13 @@ struct FillingOptions {
 // threads that are not themselves SharedFillingPool() workers.
 ThreadPool* SharedFillingPool();
 
-// One coupling row of a user: while the user is active the row reads
-// `terms · x = share_coeff * s`; once frozen at total floor F it becomes
-// `terms · x >= floor_fraction * F`. Single-class users have one row with
-// floor_fraction 1; a multi-class user has one row per class with
-// floor_fraction mix_ic (the class's slice of the total).
+// One coupling row of a user: `terms · x >= share_coeff * u_i`. A
+// single-class user has one row; a multi-class user has one row per class
+// with share_coeff = mix_ic * H_i * w_i, so a share floor on u_i keeps the
+// class mix.
 struct FillingCouplingRow {
   std::vector<std::pair<std::size_t, double>> terms;
   double share_coeff = 1.0;
-  double floor_fraction = 1.0;
 };
 
 struct FillingCapacityRow {
@@ -74,7 +95,7 @@ struct FillingCapacityRow {
 };
 
 struct FillingSpec {
-  std::size_t num_structural = 0;                        // variables besides s
+  std::size_t num_structural = 0;                        // task variables x
   std::vector<std::vector<FillingCouplingRow>> user_rows; // per user
   std::vector<FillingCapacityRow> capacity;
 };
@@ -82,46 +103,53 @@ struct FillingSpec {
 class FillingEngine {
  public:
   // share_coeff must be strictly positive for every coupling row.
-  FillingEngine(FillingSpec spec, const FillingOptions& options);
+  FillingEngine(const FillingSpec& spec, const FillingOptions& options);
 
-  std::size_t num_users() const { return user_row_ids_.size(); }
+  std::size_t num_users() const { return frozen_.size(); }
 
-  // Maximizes s under the current active/frozen pattern. Returns false when
-  // the program is infeasible; otherwise stores the share level and, if x is
-  // non-null, the structural primal values (x[v] for v < num_structural).
-  bool SolveRound(double* share, std::vector<double>* x);
+  // Maximizes the level every active user's share reaches under the current
+  // freezes. Returns false when the program is infeasible; otherwise stores
+  // the level and, if x is non-null, the task values (x[v] for v <
+  // num_structural).
+  bool SolveRound(double* level, std::vector<double>* x);
 
-  // Permanently freezes user j at total `floor`. Affects every later
-  // SolveRound and ProbeMaxShares call.
+  // The FREEZE step of the solved round: probes every active user, freezes
+  // the ones that saturate at the round level, and returns them in index
+  // order (never empty while a user is active).
+  std::vector<std::size_t> FreezeSaturatedUsers();
+
+  // Permanently freezes user j with share floor `floor` (u_j >= floor).
+  // Affects every later SolveRound and probe.
   void FreezeUser(std::size_t j, double floor);
 
-  // For every user j with probe[j] set, computes the max share j alone can
-  // reach while every other active user is floored at current_totals[i]
-  // (frozen users keep their existing floors). Call only after a successful
-  // SolveRound so probes branch off the solved round state. Results land in
-  // (*max_share)[j]; non-probed slots are 0. Deterministic: parallel and
-  // serial execution produce bit-identical values.
-  void ProbeMaxShares(const std::vector<bool>& probe,
-                      const std::vector<double>& current_totals,
+  // For every user j with probe[j] set, the largest share j can reach while
+  // every other active user keeps the solved round's level (frozen users
+  // keep their floors). With stop_at_threshold, a probe stops at the first
+  // basis above the saturation threshold and reports that basis's share, a
+  // lower bound on the maximum that still decides saturation. Call only
+  // after a successful SolveRound. Results land in (*max_share)[j];
+  // non-probed slots are 0. Parallel and serial execution produce
+  // bit-identical values.
+  void ProbeMaxShares(const std::vector<bool>& probe, bool stop_at_threshold,
                       std::vector<double>* max_share);
-
-  // LP re-solve counters of the persistent round state (probe clones
-  // accumulate their own and are discarded).
-  const lp::ResolveStats& stats() const { return state_.stats(); }
 
  private:
   lp::SimplexState BuildState(const FillingSpec& spec);
-  void FreezeInState(lp::SimplexState& state, std::size_t user,
-                     double floor) const;
-  bool SolveState(lp::SimplexState& state, double* share,
+  double SaturationThreshold() const;
+  // Solves `state`; false when infeasible. Stores the objective (the level
+  // in a round, u_j in a probe) and, if x is non-null, the task values.
+  bool SolveState(lp::SimplexState& state, double* objective,
                   std::vector<double>* x) const;
 
-  FillingSpec spec_;
-  std::vector<std::vector<std::size_t>> user_row_ids_;  // form rows per user
-  std::size_t share_var_ = 0;
+  std::size_t num_structural_ = 0;
+  std::size_t level_var_ = 0;                // column of s
+  std::vector<std::size_t> active_row_;      // per user: u_i - s >= 0
+  std::size_t level_row_ = 0;                // s >= L
   std::vector<bool> frozen_;
+  double level_ = 0.0;                       // of the last solved round
   FillingOptions options_;
   lp::SimplexState state_;
+  std::vector<lp::SimplexState> scratch_;    // one per probe block
 };
 
 }  // namespace tsf

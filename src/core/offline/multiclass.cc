@@ -1,7 +1,6 @@
 #include "core/offline/multiclass.h"
 
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/offline/filling_engine.h"
@@ -11,10 +10,8 @@
 namespace tsf {
 namespace {
 
-constexpr double kShareEps = 1e-7;
-
-// Variable layout: one variable per (user, class, eligible machine) triple
-// plus the share level s.
+// Task-variable layout: one variable per (user, class, eligible machine)
+// triple; the engine appends the share columns.
 struct TripleLayout {
   struct Triple {
     UserId user;
@@ -52,10 +49,9 @@ MultiClassAllocation EmptyAllocation(const CompiledMultiClass& problem) {
   return allocation;
 }
 
-// Engine form of the multi-class round LP: per active user i and class c a
-// coupling row  sum_m n_icm = mix_ic * H_i w_i * s ; once i freezes at total
-// floor F, each class row relaxes to >= mix_ic * F (the mix is kept), plus
-// the machine capacity rows.
+// Engine form of the multi-class round LP: per user i and class c a coupling
+// row  sum_m n_icm >= mix_ic * H_i w_i * u_i, so a share floor on u_i keeps
+// the mix, plus the machine capacity rows.
 FillingSpec MakeSpec(const CompiledMultiClass& problem,
                      const TripleLayout& layout) {
   FillingSpec spec;
@@ -69,7 +65,6 @@ FillingSpec MakeSpec(const CompiledMultiClass& problem,
       for (const std::size_t id : layout.by_user_class[i][c])
         row.terms.emplace_back(id, 1.0);
       row.share_coeff = problem.mix[i][c] * scale;
-      row.floor_fraction = problem.mix[i][c];
       spec.user_rows[i].push_back(std::move(row));
     }
   }
@@ -199,8 +194,6 @@ MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
   FillingEngine engine(MakeSpec(problem, layout), options);
   const std::size_t n = problem.num_users;
 
-  std::vector<bool> active(n, true);
-  std::vector<double> frozen_tasks(n, 0.0);
   MultiClassResult result;
   result.allocation = EmptyAllocation(problem);
   result.shares.assign(n, 0.0);
@@ -208,41 +201,12 @@ MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
   std::size_t num_active = n;
   std::size_t rounds = 0;
   std::vector<double> x;
-  std::vector<double> max_share;
   while (num_active > 0) {
     TSF_CHECK_LE(++rounds, n + 1) << "multi-class filling did not converge";
-    double round_share = 0.0;
-    TSF_CHECK(engine.SolveRound(&round_share, &x)) << "round LP infeasible";
+    double level = 0.0;
+    TSF_CHECK(engine.SolveRound(&level, &x)) << "round LP infeasible";
     result.allocation = AllocationFromPrimal(problem, layout, x);
-
-    std::vector<double> current(n);
-    for (UserId i = 0; i < n; ++i)
-      current[i] = active[i] ? result.allocation.UserTasks(i) : frozen_tasks[i];
-    engine.ProbeMaxShares(active, current, &max_share);
-
-    std::vector<UserId> newly_inactive;
-    double closest_gap = std::numeric_limits<double>::infinity();
-    UserId closest = n;
-    for (UserId j = 0; j < n; ++j) {
-      if (!active[j]) continue;
-      const double gap = max_share[j] - round_share;
-      if (gap <= kShareEps * std::max(1.0, round_share)) {
-        newly_inactive.push_back(j);
-      } else if (gap < closest_gap) {
-        closest_gap = gap;
-        closest = j;
-      }
-    }
-    if (newly_inactive.empty()) {
-      TSF_CHECK_LT(closest, n);
-      newly_inactive.push_back(closest);
-    }
-    for (const UserId j : newly_inactive) {
-      active[j] = false;
-      frozen_tasks[j] = result.allocation.UserTasks(j);
-      engine.FreezeUser(j, frozen_tasks[j]);
-      --num_active;
-    }
+    num_active -= engine.FreezeSaturatedUsers().size();
   }
 
   for (UserId i = 0; i < n; ++i)

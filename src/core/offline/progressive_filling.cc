@@ -1,18 +1,8 @@
 #include "core/offline/progressive_filling.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/check.h"
-#include "util/log.h"
 
 namespace tsf {
-namespace {
-
-// Two shares within this distance are "equal" for saturation decisions.
-constexpr double kShareEps = 1e-7;
-
-}  // namespace
 
 FillingSpec MakeFillingSpec(const CompiledProblem& problem,
                             const EdgeLayout& layout,
@@ -25,7 +15,6 @@ FillingSpec MakeFillingSpec(const CompiledProblem& problem,
     row.terms.reserve(layout.user_edges[i].size());
     for (const std::size_t e : layout.user_edges[i]) row.terms.emplace_back(e, 1.0);
     row.share_coeff = denominator[i];
-    row.floor_fraction = 1.0;
     spec.user_rows[i].push_back(std::move(row));
   }
   for (MachineId m = 0; m < problem.num_machines; ++m) {
@@ -70,7 +59,6 @@ EdgeLayout::EdgeLayout(const CompiledProblem& problem)
       machine_edges[m].push_back(e);
     });
   }
-  share_var = edges.size();
 }
 
 double MaxShareWithFloors(const CompiledProblem& problem,
@@ -90,7 +78,7 @@ double MaxShareWithFloors(const CompiledProblem& problem,
 
   FillingEngine engine(MakeFillingSpec(problem, layout, denominator), {});
   for (UserId i = 0; i < problem.num_users; ++i)
-    if (i != j) engine.FreezeUser(i, floor_tasks[i]);
+    if (i != j) engine.FreezeUser(i, floor_tasks[i] / denominator[i]);
   double share = 0.0;
   TSF_CHECK(engine.SolveRound(&share, nullptr))
       << "freeze-probe LP infeasible — floors exceed capacity?";
@@ -107,8 +95,6 @@ FillingResult ProgressiveFilling(const CompiledProblem& problem,
   FillingEngine engine(MakeFillingSpec(problem, layout, denominator), options);
   const std::size_t n = problem.num_users;
 
-  std::vector<bool> active(n, true);
-  std::vector<double> frozen_tasks(n, 0.0);  // valid where !active
   FillingResult result;
   result.freeze_round.assign(n, 0);
   result.shares.assign(n, 0.0);
@@ -116,58 +102,22 @@ FillingResult ProgressiveFilling(const CompiledProblem& problem,
   std::size_t num_active = n;
   std::size_t round_number = 0;
   std::vector<double> x;
-  std::vector<double> max_share;
   while (num_active > 0) {
     ++round_number;
     TSF_CHECK_LE(round_number, n + 1) << "progressive filling failed to converge";
 
     // LP step: raise all active users' shares equally to the maximum. Warm
-    // from the previous round — freezes only rewrote the frozen users' rows.
-    double round_share = 0.0;
-    TSF_CHECK(engine.SolveRound(&round_share, &x)) << "round LP infeasible";
-    result.round_levels.push_back(round_share);
+    // from the previous round — freezes kept its basis.
+    double level = 0.0;
+    TSF_CHECK(engine.SolveRound(&level, &x)) << "round LP infeasible";
+    result.round_levels.push_back(level);
     result.allocation = AllocationFromPrimal(problem, layout, x);
 
-    // FREEZE step: an active user j saturates if, holding everyone else's
-    // current totals as floors, j's share cannot rise above the round level.
-    // Probes branch off the solved round LP and may run in parallel; the
-    // reduction below walks users in index order, so decisions match the
-    // serial reference bit for bit.
-    std::vector<double> current_tasks(n);
-    for (UserId i = 0; i < n; ++i)
-      current_tasks[i] = active[i] ? result.allocation.UserTasks(i) : frozen_tasks[i];
-    engine.ProbeMaxShares(active, current_tasks, &max_share);
-
-    std::vector<UserId> newly_inactive;
-    double closest_gap = std::numeric_limits<double>::infinity();
-    UserId closest_user = n;
-    for (UserId j = 0; j < n; ++j) {
-      if (!active[j]) continue;
-      const double gap = max_share[j] - round_share;
-      if (gap <= kShareEps * std::max(1.0, round_share)) {
-        newly_inactive.push_back(j);
-      } else if (gap < closest_gap) {
-        closest_gap = gap;
-        closest_user = j;
-      }
-    }
-
-    // Exact arithmetic guarantees at least one saturated user per round; if
-    // round-off hid it, freeze the numerically closest user so the loop
-    // always progresses.
-    if (newly_inactive.empty()) {
-      TSF_CHECK_LT(closest_user, n);
-      TSF_LOG(DEBUG) << "freeze fallback: user " << closest_user << " gap "
-                     << closest_gap;
-      newly_inactive.push_back(closest_user);
-    }
-
-    for (const UserId j : newly_inactive) {
-      active[j] = false;
-      frozen_tasks[j] = result.allocation.UserTasks(j);
-      engine.FreezeUser(j, frozen_tasks[j]);
+    // FREEZE step: the engine probes every active user off the solved round
+    // LP (in parallel if its options allow) and freezes the saturated ones
+    // at the round level.
+    for (const std::size_t j : engine.FreezeSaturatedUsers()) {
       result.freeze_round[j] = round_number;
-      result.shares[j] = frozen_tasks[j] / denominator[j];
       --num_active;
     }
   }

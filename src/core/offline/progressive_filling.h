@@ -13,14 +13,15 @@
 //
 // Each round solves one LP to raise every active user's share equally to its
 // maximum, then one LP per active user to decide who has saturated (the
-// FREEZE step); saturated users' task totals are protected by >= constraints
+// FREEZE step); saturated users' shares are floored at their round's level
 // in later rounds. This mirrors Algorithm 1 exactly.
 //
 // All round and probe LPs of one run share a single warm-started revised
 // simplex state (see core/offline/filling_engine.h): the constraint matrix
-// is built once, freezes are in-place row rewrites, and every FREEZE probe
-// branches off the solved round LP — independent probes can fan out over a
-// thread pool with freeze decisions bit-identical to the serial loop.
+// is built once, a freeze keeps the basis, and every FREEZE probe branches
+// off the solved round LP by an objective change — independent probes can
+// fan out over a thread pool with freeze decisions bit-identical to the
+// serial loop.
 #pragma once
 
 #include <cstddef>
@@ -46,24 +47,21 @@ struct FillingResult {
   std::vector<double> round_levels;
 };
 
-// Variable layout shared by every LP of a filling run: one variable per
-// constraint-graph edge (user, eligible machine), plus the share level s as
-// the last variable. Built once per problem; reusable across filling runs
-// and property probes over the same CompiledProblem.
+// Task-variable layout shared by every LP of a filling run: one variable per
+// constraint-graph edge (user, eligible machine); the engine appends the
+// share columns. Built once per problem; reusable across filling runs and
+// property probes over the same CompiledProblem.
 struct EdgeLayout {
   std::vector<std::pair<UserId, MachineId>> edges;
   std::vector<std::vector<std::size_t>> user_edges;     // per user
   std::vector<std::vector<std::size_t>> machine_edges;  // per machine
-  std::size_t share_var = 0;                            // index of s
 
   explicit EdgeLayout(const CompiledProblem& problem);
-
-  std::size_t num_variables() const { return edges.size() + 1; }
 };
 
 // Compiles the round-LP structure for a problem/denominator pair into the
-// engine's policy-agnostic form: one coupling row per user (total tasks =
-// denominator_i * s) plus the per-(machine, resource) capacity rows.
+// engine's policy-agnostic form: one coupling row per user (total tasks >=
+// denominator_i * u_i) plus the per-(machine, resource) capacity rows.
 // Exposed for benchmarks and tests that drive FillingEngine directly.
 FillingSpec MakeFillingSpec(const CompiledProblem& problem,
                             const EdgeLayout& layout,

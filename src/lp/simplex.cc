@@ -118,6 +118,8 @@ std::string ToString(SolveStatus status) {
       return "infeasible";
     case SolveStatus::kUnbounded:
       return "unbounded";
+    case SolveStatus::kCutoff:
+      return "cutoff";
   }
   return "?";
 }

@@ -26,13 +26,16 @@ namespace tsf::lp {
 
 enum class Relation { kLessEqual, kEqual, kGreaterEqual };
 
-enum class SolveStatus { kOptimal, kInfeasible, kUnbounded };
+// kCutoff comes only from lp::SimplexState with an objective cutoff set:
+// phase 2 stopped at a feasible basis whose objective exceeds the cutoff,
+// so the optimum is at least that large (see revised.h).
+enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kCutoff };
 
 std::string ToString(SolveStatus status);
 
 struct Solution {
   SolveStatus status = SolveStatus::kInfeasible;
-  double objective = 0.0;      // valid iff status == kOptimal
+  double objective = 0.0;      // valid iff status is kOptimal or kCutoff
   std::vector<double> x;       // primal values, one per variable
 
   bool optimal() const { return status == SolveStatus::kOptimal; }

@@ -1,17 +1,17 @@
 // Standard-form program with immutable shape and sparse column storage.
 //
 // The dense solver in simplex.h rebuilds its tableau from scratch on every
-// call, which is wasteful for progressive filling: within a round, the round
-// LP and every per-user FREEZE probe share one constraint matrix and differ
-// only in a handful of right-hand sides, one relation flip per frozen user,
-// and the share column's coefficients. StandardForm captures exactly that
-// structure:
+// call, which is wasteful for progressive filling: within a run, the round
+// LPs and every per-user FREEZE probe share one constraint matrix and differ
+// only in a few right-hand sides, the objective, and one coefficient per
+// frozen user (see core/offline/filling_engine.h). StandardForm captures
+// exactly that structure:
 //
 //   * the *shape* — which rows exist and which (row, variable) slots are
 //     nonzero — is fixed at Finalize() time and never changes;
 //   * the *values* — rhs, an equality row's relation (one-way relaxation to
-//     >=), and the coefficient stored in an existing slot — may be mutated
-//     afterwards in O(changed slots).
+//     >=), the coefficient stored in an existing slot, and the objective —
+//     may be mutated afterwards in O(changed slots).
 //
 // Shape immutability is what makes warm re-solving sound: a basis of the old
 // program names columns that still exist, with the same sparsity, in the new
@@ -50,6 +50,7 @@ class StandardForm {
   std::size_t AddRow(const std::vector<std::pair<std::size_t, double>>& terms,
                      Relation relation, double rhs);
 
+  // Also a value mutation: allowed before and after Finalize.
   void SetObjectiveCoefficient(std::size_t variable, double coefficient);
 
   // Freezes the shape and compiles column-major storage. Must be called

@@ -1,10 +1,12 @@
-// Unit tests for the two-phase simplex solver.
+// Unit tests for the two-phase simplex solver and for the warm-path
+// operations of the revised solver that progressive filling relies on.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <vector>
 
+#include "lp/revised.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
 
@@ -175,6 +177,107 @@ TEST(Simplex, MatchesVertexEnumerationOn2D) {
     }
     EXPECT_NEAR(s.objective, best, 1e-6) << "trial " << trial;
   }
+}
+
+// Progressive filling in miniature (two users, see FillingEngine): tasks
+// x0, x1, shares u0, u1 and the level s. Coupling rows x0 >= 2 u0 and
+// x1 >= u1, active rows u_i >= s, the level row s >= 0, and capacity
+// x0 + x1 <= 9, x0 <= 4. The round optimum is s = 2 (user 0 saturates).
+constexpr std::size_t kX0 = 0, kX1 = 1, kU0 = 2, kU1 = 3, kLevel = 4;
+struct FillingForm {
+  SimplexState state;
+  std::size_t active0;
+  std::size_t level_row;
+};
+
+FillingForm MakeFillingForm() {
+  StandardForm form(5);
+  form.AddRow({{kX0, 1.0}, {kU0, -2.0}}, Relation::kGreaterEqual, 0.0);
+  form.AddRow({{kX1, 1.0}, {kU1, -1.0}}, Relation::kGreaterEqual, 0.0);
+  const std::size_t active0 =
+      form.AddRow({{kU0, 1.0}, {kLevel, -1.0}}, Relation::kGreaterEqual, 0.0);
+  form.AddRow({{kU1, 1.0}, {kLevel, -1.0}}, Relation::kGreaterEqual, 0.0);
+  const std::size_t level_row =
+      form.AddRow({{kLevel, 1.0}}, Relation::kGreaterEqual, 0.0);
+  form.AddRow({{kX0, 1.0}, {kX1, 1.0}}, Relation::kLessEqual, 9.0);
+  form.AddRow({{kX0, 1.0}}, Relation::kLessEqual, 4.0);
+  form.SetObjectiveCoefficient(kLevel, 1.0);
+  form.Finalize();
+  return FillingForm{SimplexState(std::move(form)), active0, level_row};
+}
+
+TEST(RevisedSimplex, AllSlackStartSolvesWithoutPhaseOne) {
+  FillingForm filling = MakeFillingForm();
+  const Solution& round = filling.state.Solve();
+  ASSERT_EQ(round.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(round.objective, 2.0, 1e-9);
+  EXPECT_EQ(filling.state.stats().cold_solves, 1u);
+}
+
+TEST(RevisedSimplex, ObjectiveChangeResolvesWarmFromTheOptimum) {
+  FillingForm filling = MakeFillingForm();
+  ASSERT_TRUE(filling.state.Solve().optimal());
+  filling.state.SetRhs(filling.level_row, 2.0);
+  filling.state.SetObjectiveCoefficient(kLevel, 0.0);
+  filling.state.SetObjectiveCoefficient(kU1, 1.0);
+  const Solution& probe = filling.state.Solve();
+  ASSERT_EQ(probe.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(probe.objective, 5.0, 1e-9);  // x0 = 4 keeps u0 >= 2
+  EXPECT_EQ(filling.state.stats().warm_solves, 1u);
+  EXPECT_EQ(filling.state.stats().cold_solves, 1u);
+  const Solution dense = filling.state.form().ToDenseProblem().Solve();
+  EXPECT_NEAR(dense.objective, probe.objective, 1e-9);
+}
+
+TEST(RevisedSimplex, CutoffStopsAtTheFirstBasisAboveIt) {
+  FillingForm filling = MakeFillingForm();
+  ASSERT_TRUE(filling.state.Solve().optimal());
+  filling.state.SetRhs(filling.level_row, 2.0);
+  filling.state.SetObjectiveCoefficient(kLevel, 0.0);
+  SimplexState saturated = filling.state;
+  filling.state.SetObjectiveCoefficient(kU1, 1.0);
+  filling.state.SetObjectiveCutoff(2.5);
+  const Solution& rising = filling.state.Solve();
+  ASSERT_EQ(rising.status, SolveStatus::kCutoff);
+  EXPECT_GT(rising.objective, 2.5);
+  EXPECT_LE(rising.objective, 5.0 + 1e-9);
+  EXPECT_NEAR(rising.x[kU1], rising.objective, 1e-9);
+
+  // User 0 cannot rise above 2 (x0 <= 4): the cutoff never triggers.
+  saturated.SetObjectiveCoefficient(kU0, 1.0);
+  saturated.SetObjectiveCutoff(2.5);
+  const Solution& flat = saturated.Solve();
+  ASSERT_EQ(flat.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(flat.objective, 2.0, 1e-9);
+}
+
+TEST(RevisedSimplex, FreezeViaEnterSlackKeepsTheBasisWarm) {
+  FillingForm filling = MakeFillingForm();
+  ASSERT_TRUE(filling.state.Solve().optimal());
+  // Freeze user 0 at the round level: its active row becomes u0 >= 2.
+  filling.state.SetRhs(filling.level_row, 2.0);
+  filling.state.EnterSlack(filling.active0);
+  filling.state.SetCoefficient(filling.active0, kLevel, 0.0);
+  filling.state.SetRhs(filling.active0, 2.0);
+  const Solution& next = filling.state.Solve();
+  ASSERT_EQ(next.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(next.objective, 5.0, 1e-9);  // x0 = 4, x1 = u1 = s = 5
+  EXPECT_EQ(filling.state.stats().warm_solves, 1u);
+  EXPECT_EQ(filling.state.stats().cold_solves, 1u);
+  EXPECT_EQ(filling.state.stats().dense_fallbacks, 0u);
+  const Solution dense = filling.state.form().ToDenseProblem().Solve();
+  EXPECT_NEAR(dense.objective, next.objective, 1e-9);
+}
+
+TEST(RevisedSimplex, EnterSlackWithoutABasisIsANoOp) {
+  FillingForm filling = MakeFillingForm();
+  filling.state.EnterSlack(filling.active0);  // nothing solved yet
+  filling.state.SetCoefficient(filling.active0, kLevel, 0.0);
+  filling.state.SetRhs(filling.active0, 1.0);
+  const Solution& solution = filling.state.Solve();
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(solution.objective, 7.0, 1e-9);  // u0 >= 1 needs x0 >= 2
+  EXPECT_EQ(filling.state.stats().cold_solves, 1u);
 }
 
 }  // namespace
