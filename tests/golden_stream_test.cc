@@ -152,6 +152,131 @@ TEST(GoldenStreamTest, FullStreamMatchesWithFirstDivergenceDiff) {
       << "streams agree on the first " << n << " events but lengths differ";
 }
 
+// Same-time finishes. The DES pops finishes that share a timestamp in its
+// event heap's order; that order shows in the stream (finish and retire
+// order) and, under faults, picks each task failure's victim (the last
+// task on the machine's running list, which finishes reorder by
+// swap-removal). The random scenarios above have almost no ties, so this
+// lane is built for them: integral arrival waves and constant runtimes on
+// a cluster of four 3-machine classes, run on the flat and the collapsed
+// engine, once plain and once with task failures (some at finish times).
+constexpr const char* kTieFile = TSF_GOLDEN_DIR "/des_tie_order.txt";
+
+Workload TieHeavyWorkload() {
+  Workload workload;
+  for (std::size_t m = 0; m < 12; ++m) {
+    AttributeSet attributes;
+    if (m % 2 == 0) attributes.Add(0);
+    workload.cluster.AddMachine(m % 4 < 2 ? ResourceVector{4.0, 4.0}
+                                          : ResourceVector{8.0, 4.0},
+                                std::move(attributes));
+  }
+  constexpr double kRuntimes[] = {2.0, 3.0, 4.0, 6.0};
+  for (std::size_t j = 0; j < 12; ++j) {
+    JobSpec spec;
+    spec.id = j;
+    spec.name = "j" + std::to_string(j);
+    spec.demand = ResourceVector{j % 3 == 0 ? 2.0 : 1.0, 1.0};
+    spec.arrival_time = 5.0 * static_cast<double>(j / 4);
+    spec.num_tasks = 10 + static_cast<long>(7 * j % 19);
+    if (j % 4 == 1) {
+      spec.constraint = Constraint::RequireAttributes(AttributeSet({0}));
+    } else if (j % 4 == 2) {
+      spec.constraint = Constraint::Whitelist({1, 2, 5, 8, 9, 11});
+    }
+    workload.jobs.push_back(MakeUniformJob(std::move(spec), kRuntimes[j % 4]));
+  }
+  return workload;
+}
+
+FaultPlan TieFailurePlan() {
+  FaultPlan plan;
+  for (std::size_t k = 0; k < 24; ++k)
+    plan.events.push_back(FaultSpec{2.0 + 1.5 * static_cast<double>(k),
+                                    FaultKind::kTaskFailure, (5 * k) % 12,
+                                    0.0});
+  return plan;
+}
+
+TEST(GoldenStreamTest, SameTimeFinishOrderMatchesGolden) {
+  const Workload workload = TieHeavyWorkload();
+  std::map<std::string, std::string> lanes;
+  for (const bool faulted : {false, true}) {
+    const FaultPlan plan = faulted ? TieFailurePlan() : FaultPlan{};
+    for (const OnlinePolicy& policy : AllOnlinePolicies())
+      for (const ClusterMode mode :
+           {ClusterMode::kFlat, ClusterMode::kCollapsed}) {
+        const ScenarioReport report = RunDesScenario(
+            workload, policy, plan, SimCore::kIncremental, mode);
+        const std::string name =
+            std::string(mode == ClusterMode::kFlat ? "flat" : "collapsed") +
+            (faulted ? "_failures " : " ") + policy.name;
+        EXPECT_TRUE(report.ok())
+            << name << ": " << ToString(report.violations.front());
+        long finishes = 0;
+        long tied = 0;
+        long failures = 0;
+        double last_finish = -1.0;
+        for (const StreamEvent& event : report.stream) {
+          if (event.kind == StreamEvent::Kind::kFail) ++failures;
+          if (event.kind != StreamEvent::Kind::kFinish) continue;
+          ++finishes;
+          if (event.time == last_finish) ++tied;
+          last_finish = event.time;
+        }
+        // The lane must keep exercising what it pins.
+        EXPECT_GT(2 * tied, finishes) << name;
+        if (faulted) {
+          EXPECT_GT(failures, 5) << name;
+        }
+        lanes[name] = HashHex(report.stream_hash) +
+                      " finishes=" + std::to_string(finishes) +
+                      " tied=" + std::to_string(tied) +
+                      " failures=" + std::to_string(failures);
+      }
+  }
+
+  // The class engine's bit-identity contract holds on ties too.
+  for (const auto& [name, lane] : lanes) {
+    if (name.rfind("flat", 0) == 0) {
+      EXPECT_EQ(lane, lanes.at("collapsed" + name.substr(4))) << name;
+    }
+  }
+
+  if (UpdateMode()) {
+    std::ofstream out(kTieFile);
+    ASSERT_TRUE(out.good()) << "cannot write " << kTieFile;
+    out << "# lane -> stream hash and finish/tie/failure counts; regenerate\n"
+        << "# with TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream\n";
+    for (const auto& [name, line] : lanes) out << name << " " << line << "\n";
+    GTEST_SKIP() << "tie-order goldens rewritten (" << lanes.size()
+                 << " lanes)";
+  }
+
+  std::ifstream in(kTieFile);
+  ASSERT_TRUE(in.good()) << "missing " << kTieFile
+                         << "; run once with TSF_UPDATE_GOLDEN=1";
+  std::map<std::string, std::string> golden;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    const std::size_t split = line.find(' ', line.find(' ') + 1);
+    ASSERT_NE(split, std::string::npos) << "malformed golden line: " << line;
+    golden[line.substr(0, split)] = line.substr(split + 1);
+  }
+  EXPECT_EQ(golden.size(), lanes.size());
+  for (const auto& [name, lane] : lanes) {
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "no golden entry for '" << name << "'";
+      continue;
+    }
+    EXPECT_EQ(lane, it->second)
+        << "same-time finish order changed for '" << name
+        << "' — a deliberate behavior change needs TSF_UPDATE_GOLDEN=1";
+  }
+}
+
 // The Mesos master on the 1000-slave observatory fleet
 // (load::MakeLoadSlaves), where the chaos scenarios' 2-4 slaves never
 // exercise the contention order or multi-word slave bitsets: TSF and DRF at
