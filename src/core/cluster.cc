@@ -88,6 +88,7 @@ Cluster::Cluster(std::vector<Machine> machines) : machines_(std::move(machines))
     TSF_CHECK_EQ(machines_[m].capacity.dimension(),
                  machines_[0].capacity.dimension())
         << "all machines must report the same resource types";
+    IndexAttributes(machines_[m]);
   }
   RecomputeTotal();
 }
@@ -101,6 +102,7 @@ MachineId Cluster::AddMachine(ResourceVector capacity, AttributeSet attributes,
   machine.name = name.empty() ? "m" + std::to_string(machine.id) : std::move(name);
   machine.capacity = std::move(capacity);
   machine.attributes = std::move(attributes);
+  IndexAttributes(machine);
   machines_.push_back(std::move(machine));
   // Incremental total: appending accumulates in machine order, the exact
   // addition sequence RecomputeTotal would produce — bitwise-identical
@@ -112,6 +114,14 @@ MachineId Cluster::AddMachine(ResourceVector capacity, AttributeSet attributes,
     total_ += machines_.back().capacity;
   }
   return machines_.back().id;
+}
+
+void Cluster::IndexAttributes(const Machine& machine) {
+  for (const AttributeId id : machine.attributes.ids()) {
+    DynamicBitset& members = attribute_machines_[id];
+    members.Resize(machine.id + 1);
+    members.Set(machine.id);
+  }
 }
 
 void Cluster::RecomputeTotal() {
@@ -147,14 +157,35 @@ ResourceVector Cluster::NormalizedDemand(const ResourceVector& demand) const {
 
 DynamicBitset Cluster::Eligibility(const Constraint& constraint) const {
   DynamicBitset bits(machines_.size());
-  // Unconstrained jobs are common (Fig. 8a: ~20 % can run anywhere); skip
-  // the per-machine attribute probes for them.
-  if (constraint.kind() == Constraint::Kind::kNone) {
-    bits.SetAll();
-    return bits;
+  switch (constraint.kind()) {
+    case Constraint::Kind::kNone:
+      bits.SetAll();
+      break;
+    case Constraint::Kind::kRequireAttributes:
+      // An empty requirement allows every machine; an id no machine
+      // carries allows none.
+      bits.SetAll();
+      for (const AttributeId id : constraint.required_attributes().ids()) {
+        const auto it = attribute_machines_.find(id);
+        if (it == attribute_machines_.end()) {
+          bits.ResetAll();
+          break;
+        }
+        bits.AndPrefix(it->second);
+      }
+      break;
+    case Constraint::Kind::kWhitelist:
+    case Constraint::Kind::kBlacklist: {
+      const bool whitelist = constraint.kind() == Constraint::Kind::kWhitelist;
+      if (!whitelist) bits.SetAll();
+      // The list is sorted, so the ids past the cluster come last.
+      for (const MachineId m : constraint.machine_list()) {
+        if (m >= bits.size()) break;
+        bits.Assign(m, whitelist);
+      }
+      break;
+    }
   }
-  for (const Machine& machine : machines_)
-    if (constraint.Allows(machine.id, machine.attributes)) bits.Set(machine.id);
   return bits;
 }
 

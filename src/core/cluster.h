@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/constraint.h"
@@ -70,13 +71,22 @@ class Cluster {
 
   // Eligibility bitset of a constraint over this cluster's machines: bit m
   // is set iff the constraint allows machine m (one row of Fig. 1's graph).
+  // An attribute requirement costs O(required attributes * machines / 64)
+  // (the AND of the attribute index's bitsets), a machine list O(list);
+  // listed ids outside the cluster are ignored.
   DynamicBitset Eligibility(const Constraint& constraint) const;
 
  private:
   void RecomputeTotal();
+  void IndexAttributes(const Machine& machine);
 
   std::vector<Machine> machines_;
   ResourceVector total_;
+  // Machines carrying each attribute id. A bitset ends at its last member
+  // (Eligibility reads the bits past its end as clear), so AddMachine
+  // touches only the new machine's attributes. Built eagerly: Eligibility
+  // is const and runs concurrently on a shared cluster.
+  std::unordered_map<AttributeId, DynamicBitset> attribute_machines_;
 };
 
 // Machine equivalence classes: machines with identical (capacity, attribute

@@ -22,6 +22,9 @@ std::string ConstraintKey(const Constraint& constraint) {
 
 }  // namespace
 
+EligibilityPool::EligibilityPool(const Cluster& cluster)
+    : cluster_(&cluster), classes_(nullptr) {}
+
 EligibilityPool::EligibilityPool(const Cluster& cluster,
                                  const MachineClassIndex& classes)
     : cluster_(&cluster), classes_(&classes) {
@@ -39,10 +42,6 @@ EligibilityHandle EligibilityPool::Intern(const Constraint& constraint) {
   ++misses_;
   it->second = Compile(constraint);
   return it->second;
-}
-
-EligibilityHandle EligibilityPool::Wrap(DynamicBitset machines) const {
-  return WrapEligibility(std::move(machines), *classes_);
 }
 
 EligibilityHandle WrapEligibility(DynamicBitset machines,
@@ -69,6 +68,8 @@ EligibilityHandle WrapFlatEligibility(DynamicBitset machines) {
 }
 
 EligibilityHandle EligibilityPool::Compile(const Constraint& constraint) const {
+  if (classes_ == nullptr)
+    return WrapFlatEligibility(cluster_->Eligibility(constraint));
   const std::size_t num_machines = classes_->num_machines();
   const std::size_t num_classes = classes_->num_classes();
   auto set = std::make_shared<EligibilitySet>();

@@ -15,6 +15,9 @@
 // blacklists name concrete machines and may split a class: their exact
 // machine bits are built from the list and the class counts derived, so a
 // partially-eligible class reports 0 < class_count < class_size.
+//
+// A pool built without a class index interns for flat owners: its sets
+// carry only the machine bits, compiled by Cluster::Eligibility.
 #pragma once
 
 #include <cstdint>
@@ -60,17 +63,16 @@ EligibilityHandle WrapFlatEligibility(DynamicBitset machines);
 
 class EligibilityPool {
  public:
-  // Both referents must outlive the pool.
+  // Flat mode (sets without class summaries). The cluster must outlive the
+  // pool.
+  explicit EligibilityPool(const Cluster& cluster);
+  // Collapsed mode. Both referents must outlive the pool.
   EligibilityPool(const Cluster& cluster, const MachineClassIndex& classes);
 
   // Returns the interned set for `constraint`, compiling it on first sight.
   // Structurally equal constraints (same kind, attributes, machine list)
   // return the *same* handle, whoever asked first.
   EligibilityHandle Intern(const Constraint& constraint);
-
-  // Builds a non-interned set for an ad-hoc machine bitset (flat callers
-  // that already own an eligibility mask).
-  EligibilityHandle Wrap(DynamicBitset machines) const;
 
   std::size_t size() const { return pool_.size(); }
   std::size_t hits() const { return hits_; }
@@ -84,7 +86,7 @@ class EligibilityPool {
   EligibilityHandle Compile(const Constraint& constraint) const;
 
   const Cluster* cluster_;
-  const MachineClassIndex* classes_;
+  const MachineClassIndex* classes_;  // null in flat mode
   std::unordered_map<std::string, EligibilityHandle> pool_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -37,51 +37,64 @@ std::vector<double> SimResult::TaskQueueingDelays() const {
 
 namespace {
 
-// Task-finish event, 32 bytes. Arrivals never enter the queue (the job
-// list is already sorted by arrival time and is merged in as a second
-// stream, as are injected faults), and finishes sharing a timestamp are
-// applied as one batch whose internal order is immaterial — capacity frees
-// commute and the freed machine set is sorted before serving — so no
-// sequence tie-break or event kind is needed. The narrow fields bound the
-// workload at 2^32 jobs/machines/tasks, checked at simulation entry.
-// `attempt` is the task slot's placement generation: a crash or failure
-// bumps the slot's generation, voiding the queued finish event (lazy
-// cancellation — the event pops and is skipped).
-struct Event {
-  double time = 0.0;
+// A task-finish event's payload; its time is the event heap's key.
+// Arrivals never enter the queue (the job list is already sorted by
+// arrival time and is merged in as a second stream, as are injected
+// faults), and finishes sharing a timestamp are applied as one batch whose
+// internal order is immaterial — capacity frees commute and the freed
+// machine set is sorted before serving — so no sequence tie-break or event
+// kind is needed. The narrow fields bound the workload at 2^32
+// jobs/machines/tasks, checked at simulation entry. `attempt` is the task
+// slot's placement generation: a crash or failure bumps the slot's
+// generation, voiding the queued finish event (lazy cancellation — the
+// event pops and is skipped).
+struct FinishEvent {
   std::uint32_t job = 0;
   std::uint32_t machine = 0;
   std::uint32_t task_slot = 0;  // index into result.tasks
   std::uint32_t attempt = 0;
 };
+static_assert(sizeof(FinishEvent) == 16,
+              "a queued finish costs its 8-byte time and this payload");
 
 // 4-ary min-heap on time. Heap churn dominates the event loop (one push
 // and one pop per task), and against std::priority_queue's binary heap
-// this halves the sift depth while keeping all four children of a node in
-// one cache line; sifting moves a hole instead of swapping.
+// this halves the sift depth. The times sit in their own array, so a
+// sift compares contiguous 8-byte keys (a node's four children span 32
+// bytes) and moves the payload in lockstep; sifting moves a hole instead
+// of swapping.
 class EventQueue {
  public:
-  void Reserve(std::size_t n) { events_.reserve(n); }
-  bool Empty() const { return events_.empty(); }
-  std::size_t Size() const { return events_.size(); }
-  const Event& Top() const { return events_.front(); }
+  void Reserve(std::size_t n) {
+    times_.reserve(n);
+    events_.reserve(n);
+  }
+  bool Empty() const { return times_.empty(); }
+  std::size_t Size() const { return times_.size(); }
+  double TopTime() const { return times_.front(); }
+  const FinishEvent& Top() const { return events_.front(); }
 
-  void Push(const Event& e) {
-    std::size_t i = events_.size();
+  void Push(double time, const FinishEvent& e) {
+    std::size_t i = times_.size();
+    times_.push_back(time);
     events_.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (e.time >= events_[parent].time) break;
+      if (time >= times_[parent]) break;
+      times_[i] = times_[parent];
       events_[i] = events_[parent];
       i = parent;
     }
+    times_[i] = time;
     events_[i] = e;
   }
 
   void Pop() {
-    const Event moved = events_.back();
+    const double time = times_.back();
+    const FinishEvent moved = events_.back();
+    times_.pop_back();
     events_.pop_back();
-    const std::size_t n = events_.size();
+    const std::size_t n = times_.size();
     if (n == 0) return;
     std::size_t i = 0;
     for (;;) {
@@ -90,24 +103,20 @@ class EventQueue {
       std::size_t best = first;
       const std::size_t last = std::min(first + 4, n);
       for (std::size_t c = first + 1; c < last; ++c)
-        if (events_[c].time < events_[best].time) best = c;
-      if (events_[best].time >= moved.time) break;
+        if (times_[c] < times_[best]) best = c;
+      if (times_[best] >= time) break;
+      times_[i] = times_[best];
       events_[i] = events_[best];
       i = best;
     }
+    times_[i] = time;
     events_[i] = moved;
   }
 
  private:
-  std::vector<Event> events_;
+  std::vector<double> times_;
+  std::vector<FinishEvent> events_;
 };
-
-// Structural equality; Constraint deliberately has no operator== of its own.
-bool SameConstraint(const Constraint& a, const Constraint& b) {
-  return a.kind() == b.kind() &&
-         a.required_attributes().ids() == b.required_attributes().ids() &&
-         a.machine_list() == b.machine_list();
-}
 
 // Machines grouped by identical normalized capacity vector. The Google
 // config mix has only a handful of distinct shapes, so the per-arrival
@@ -215,18 +224,21 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
     }
   }
   std::optional<MachineClassIndex> class_index;
-  std::optional<EligibilityPool> elig_pool;
   // Classes of each capacity group, for the collapsed monopoly sweep.
   std::vector<std::vector<std::uint32_t>> group_classes;
   if (collapsed) {
     class_index.emplace(cluster);
-    elig_pool.emplace(cluster, *class_index);
     group_classes.resize(class_index->num_capacity_groups());
     for (std::size_t c = 0; c < class_index->num_classes(); ++c)
       group_classes[class_index->group_of_class(c)].push_back(
           static_cast<std::uint32_t>(c));
     TSF_COUNTER_ADD("des.collapsed_runs", 1);
   }
+  // Jobs repeat constraints (the paper fleet's hour has about one distinct
+  // constraint per five jobs), so each distinct constraint is compiled once
+  // and its set shared by every user that carries it.
+  EligibilityPool elig_pool = collapsed ? EligibilityPool(cluster, *class_index)
+                                        : EligibilityPool(cluster);
 
   std::vector<ResourceVector> capacity;
   capacity.reserve(cluster.num_machines());
@@ -244,24 +256,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       return Scheduler(std::move(capacity), policy);
     }
   }();
-
-  // Workloads draw constraints from a small pool (a handful of attribute
-  // combos in the Google mix), so compile each distinct constraint once and
-  // reuse the bitset instead of probing every machine per arrival. The
-  // collapsed path interns through the EligibilityPool instead (hash-consed
-  // and shared with the scheduler's users — no per-job bitset copies).
-  std::vector<std::pair<const Constraint*, DynamicBitset>> eligibility_memo;
-  auto eligibility_for = [&](const Constraint& constraint) {
-    for (const auto& [cached, bits] : eligibility_memo)
-      if (SameConstraint(*cached, constraint)) {
-        TSF_COUNTER_ADD("des.eligibility_memo.hits", 1);
-        return bits;
-      }
-    TSF_COUNTER_ADD("des.eligibility_memo.misses", 1);
-    eligibility_memo.emplace_back(&constraint,
-                                  cluster.Eligibility(constraint));
-    return eligibility_memo.back().second;
-  };
 
   // Per-job simulation state.
   struct JobState {
@@ -347,9 +341,10 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
     }
 #endif
     emit(SimStreamEvent::Kind::kPlace, now, j, slot, m, generation);
-    events.Push(Event{task.finish, static_cast<std::uint32_t>(j),
-                      static_cast<std::uint32_t>(m),
-                      static_cast<std::uint32_t>(slot), generation});
+    events.Push(task.finish,
+                FinishEvent{static_cast<std::uint32_t>(j),
+                            static_cast<std::uint32_t>(m),
+                            static_cast<std::uint32_t>(slot), generation});
   };
 
   // Scheduler user id → job index (users are added in arrival order).
@@ -400,7 +395,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
     now = std::numeric_limits<double>::infinity();
     if (next_arrival < workload.jobs.size())
       now = workload.jobs[next_arrival].spec.arrival_time;
-    if (!events.Empty()) now = std::min(now, events.Top().time);
+    if (!events.Empty()) now = std::min(now, events.TopTime());
     if (next_fault < faults.size())
       now = std::min(now, faults[next_fault].time);
     if (sample_interval > 0.0)
@@ -423,11 +418,17 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       spec.weight = job.spec.weight;
       spec.h = 0.0;
       spec.g = 0.0;
+      const std::size_t compiled = elig_pool.size();
+      spec.eligible_set = elig_pool.Intern(job.spec.constraint);
+      if (elig_pool.size() > compiled) {
+        TSF_COUNTER_ADD("des.eligibility_memo.misses", 1);
+      } else {
+        TSF_COUNTER_ADD("des.eligibility_memo.hits", 1);
+      }
+      const EligibilitySet& elig = *spec.eligible_set;
+      TSF_CHECK(elig.machines.Any())
+          << "job " << job.spec.name << " has no eligible machine";
       if (collapsed) {
-        spec.eligible_set = elig_pool->Intern(job.spec.constraint);
-        const EligibilitySet& elig = *spec.eligible_set;
-        TSF_CHECK(elig.machines.Any())
-            << "job " << job.spec.name << " has no eligible machine";
         // Capacity is class-uniform: probing one representative per eligible
         // class decides the same predicate as the flat per-machine scan.
         const bool fits_somewhere =
@@ -452,11 +453,8 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
             spec.g += static_cast<double>(eligible_members) * tasks;
         }
       } else {
-        spec.eligible = eligibility_for(job.spec.constraint);
-        TSF_CHECK(spec.eligible.Any())
-            << "job " << job.spec.name << " has no eligible machine";
         const bool fits_somewhere =
-            spec.eligible.ForEachSetUntil([&](std::size_t m) {
+            elig.machines.ForEachSetUntil([&](std::size_t m) {
               return cluster.machine(m).capacity.Fits(job.spec.demand);
             });
         TSF_CHECK(fits_somewhere)
@@ -466,7 +464,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
           const double tasks = group.capacity.DivisibleTaskCount(spec.demand);
           spec.h += group.count * tasks;
           const auto eligible_members =
-              static_cast<double>(spec.eligible.CountAnd(group.members));
+              static_cast<double>(elig.machines.CountAnd(group.members));
           if (eligible_members > 0.0) spec.g += eligible_members * tasks;
         }
       }
@@ -483,9 +481,9 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       TSF_COUNTER_ADD("des.arrivals", 1);
     }
 
-    while (!events.Empty() && events.Top().time == now) {
+    while (!events.Empty() && events.TopTime() == now) {
       // Task completion: free resources now, schedule after the batch.
-      const Event event = events.Top();
+      const FinishEvent event = events.Top();
       events.Pop();
       // Lazy cancellation: a crash or failure bumped the slot's generation,
       // so this finish belongs to a placement that no longer exists.

@@ -162,11 +162,13 @@ Workload SynthesizeGoogleWorkload(const GoogleTraceConfig& config) {
                                          config.num_attribute_profiles);
   const Cluster& cluster = workload.cluster;
 
-  // Schedulability probes (the constraint-relaxation loop below) are
-  // O(machines) each; on a class-collapsed fleet one representative per
-  // class answers the same predicate — capacity and attributes are
-  // class-uniform — turning the loop O(classes). The verdicts are exactly
-  // equal, so generated workloads do not depend on which path ran.
+  // Schedulability probes (the constraint-relaxation loop below) compile
+  // the candidate from the cluster's attribute index and scan its eligible
+  // machines up to the first that fits; on a class-collapsed fleet one
+  // representative per class answers the same predicate — capacity and
+  // attributes are class-uniform — turning the loop O(classes). The
+  // verdicts are exactly equal, so generated workloads do not depend on
+  // which path ran.
   std::optional<MachineClassIndex> class_index;
   if (2 * MachineClassIndex::CountClasses(cluster) <= cluster.num_machines())
     class_index.emplace(cluster);
@@ -181,11 +183,9 @@ Workload SynthesizeGoogleWorkload(const GoogleTraceConfig& config) {
       }
       return false;
     }
-    bool fits = false;
-    cluster.Eligibility(candidate).ForEachSet([&](std::size_t m) {
-      fits = fits || cluster.machine(m).capacity.Fits(demand);
+    return cluster.Eligibility(candidate).ForEachSetUntil([&](std::size_t m) {
+      return cluster.machine(m).capacity.Fits(demand);
     });
-    return fits;
   };
 
   Rng rng(config.seed);

@@ -24,6 +24,14 @@ class DynamicBitset {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  // Changes the size to `size` bits; bits gained start clear. Growing one
+  // bit at a time costs amortized O(1).
+  void Resize(std::size_t size) {
+    size_ = size;
+    words_.resize((size + 63) / 64, 0);
+    ClearPadding();
+  }
+
   bool Test(std::size_t i) const {
     TSF_DCHECK(i < size_);
     return (words_[i >> 6] >> (i & 63)) & 1;
@@ -87,6 +95,16 @@ class DynamicBitset {
   DynamicBitset& operator&=(const DynamicBitset& other) {
     TSF_DCHECK(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+    return *this;
+  }
+
+  // ANDs with `prefix`, a bitset no longer than this one whose bits past
+  // its end count as clear.
+  DynamicBitset& AndPrefix(const DynamicBitset& prefix) {
+    TSF_DCHECK(prefix.size_ <= size_);
+    const std::size_t common = prefix.words_.size();
+    for (std::size_t i = 0; i < common; ++i) words_[i] &= prefix.words_[i];
+    for (std::size_t i = common; i < words_.size(); ++i) words_[i] = 0;
     return *this;
   }
 

@@ -2,7 +2,11 @@
 // component analysis.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/cluster.h"
+#include "core/eligibility.h"
+#include "util/rng.h"
 
 namespace tsf {
 namespace {
@@ -88,6 +92,128 @@ TEST(Cluster, EligibilityMatchesFig1) {
   EXPECT_TRUE(compiled.eligible[2].Test(2));
   // u4: m2 and m4.
   EXPECT_EQ(compiled.eligible[3].Count(), 2u);
+}
+
+// Eligibility by its definition: one Constraint::Allows probe per machine.
+DynamicBitset AllowedByDefinition(const Cluster& cluster,
+                                  const Constraint& constraint) {
+  DynamicBitset bits(cluster.num_machines());
+  for (const Machine& machine : cluster.machines())
+    if (constraint.Allows(machine.id, machine.attributes)) bits.Set(machine.id);
+  return bits;
+}
+
+std::vector<std::size_t> EligibleIds(const Cluster& cluster,
+                                     const Constraint& constraint) {
+  std::vector<std::size_t> ids;
+  cluster.Eligibility(constraint).ForEachSet(
+      [&](std::size_t m) { ids.push_back(m); });
+  return ids;
+}
+
+TEST(Cluster, EligibilityEdgeCases) {
+  using Ids = std::vector<std::size_t>;
+  Cluster cluster;
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({1, 2}));
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({2}));
+  cluster.AddMachine(ResourceVector{1.0});
+  auto require = [](std::vector<AttributeId> ids) {
+    return Constraint::RequireAttributes(AttributeSet(std::move(ids)));
+  };
+  EXPECT_EQ(EligibleIds(cluster, require({})), (Ids{0, 1, 2}));
+  EXPECT_EQ(EligibleIds(cluster, require({2})), (Ids{0, 1}));
+  EXPECT_EQ(EligibleIds(cluster, require({2, 1})), (Ids{0}));
+  EXPECT_EQ(EligibleIds(cluster, require({7})), Ids{});  // on no machine
+  EXPECT_EQ(EligibleIds(cluster, require({2, 7})), Ids{});
+  // Duplicate ids collapse; ids past the cluster are ignored.
+  EXPECT_EQ(EligibleIds(cluster, Constraint::Whitelist({2, 2, 0, 9})),
+            (Ids{0, 2}));
+  EXPECT_EQ(EligibleIds(cluster, Constraint::Whitelist({9})), Ids{});
+  EXPECT_EQ(EligibleIds(cluster, Constraint::Blacklist({1, 1, 9})),
+            (Ids{0, 2}));
+  // A machine added after a compile joins its attributes' sets.
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({7, 2}));
+  EXPECT_EQ(EligibleIds(cluster, require({7})), (Ids{3}));
+  EXPECT_EQ(EligibleIds(cluster, require({2})), (Ids{0, 1, 3}));
+  EXPECT_EQ(EligibleIds(cluster, Constraint::Whitelist({2, 2, 0, 9})),
+            (Ids{0, 2}));
+  EXPECT_EQ(EligibleIds(cluster, Constraint::Blacklist({1, 9})),
+            (Ids{0, 2, 3}));
+}
+
+// The attribute index against the per-machine definition, on random
+// clusters of 1-200 machines (one to four bitset words) built both ways.
+// Machines carry attribute ids 0-8; constraints require ids 0-11, so some
+// name an id no machine carries, and their machine lists repeat ids and
+// run past the cluster.
+TEST(Cluster, AttributeIndexMatchesPerMachineDefinition) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    const auto num_machines = static_cast<std::size_t>(rng.Int(1, 200));
+    std::vector<Machine> machines(num_machines);
+    for (Machine& machine : machines) {
+      machine.capacity = ResourceVector{1.0};
+      for (AttributeId a = 0; a < 9; ++a)
+        if (rng.Chance(0.3)) machine.attributes.Add(a);
+    }
+    std::vector<Constraint> constraints = {
+        Constraint::None(), Constraint::RequireAttributes(AttributeSet{})};
+    for (int k = 0; k < 30; ++k) {
+      AttributeSet required;
+      for (std::int64_t n = rng.Int(1, 3); n > 0; --n)
+        required.Add(static_cast<AttributeId>(rng.Below(12)));
+      constraints.push_back(Constraint::RequireAttributes(required));
+      std::vector<MachineId> listed;
+      for (std::int64_t n = rng.Int(1, 6); n > 0; --n)
+        listed.push_back(rng.Below(num_machines + 8));
+      listed.push_back(listed.front());
+      constraints.push_back(Constraint::Whitelist(listed));
+      constraints.push_back(Constraint::Blacklist(listed));
+    }
+    auto expect_exact = [&](const Cluster& cluster) {
+      for (const Constraint& constraint : constraints)
+        EXPECT_EQ(cluster.Eligibility(constraint),
+                  AllowedByDefinition(cluster, constraint))
+            << "seed " << seed << ", " << constraint.ToString() << " on "
+            << cluster.num_machines() << " machines";
+    };
+    expect_exact(Cluster(machines));
+    Cluster grown;
+    for (const Machine& machine : machines) {
+      grown.AddMachine(machine.capacity, machine.attributes);
+      if (rng.Chance(0.05)) expect_exact(grown);
+    }
+    expect_exact(grown);
+  }
+}
+
+TEST(EligibilityPool, FlatModeSharesOneHandlePerConstraint) {
+  Cluster cluster;
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({1, 2}));
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({2}));
+  EligibilityPool pool(cluster);
+  const EligibilityHandle a =
+      pool.Intern(Constraint::RequireAttributes(AttributeSet({2, 1})));
+  const EligibilityHandle b =
+      pool.Intern(Constraint::RequireAttributes(AttributeSet({1, 2, 2})));
+  const EligibilityHandle w = pool.Intern(Constraint::Whitelist({1, 9, 1}));
+  const EligibilityHandle w2 = pool.Intern(Constraint::Whitelist({9, 1}));
+  const EligibilityHandle all = pool.Intern(Constraint::None());
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(w.get(), w2.get());
+  EXPECT_NE(a.get(), w.get());
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.hits(), 2u);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(a->machines,
+            cluster.Eligibility(Constraint::RequireAttributes(
+                AttributeSet({1, 2}))));
+  EXPECT_EQ(a->num_eligible, 1u);
+  EXPECT_EQ(w->num_eligible, 1u);
+  EXPECT_EQ(all->num_eligible, 2u);
+  // Flat sets carry no class summaries.
+  EXPECT_TRUE(a->classes.empty());
+  EXPECT_TRUE(a->class_count.empty());
 }
 
 TEST(Compile, MonopolyCountsFig4Example) {

@@ -171,6 +171,33 @@ TEST(DynamicBitset, CountAndMatchesMaterializedIntersection) {
   EXPECT_EQ(DynamicBitset(150).CountAnd(a), 0u);
 }
 
+TEST(DynamicBitset, ResizeKeepsBitsAndClearsGainedOnes) {
+  DynamicBitset bits(3);
+  bits.SetAll();
+  bits.Resize(130);
+  EXPECT_EQ(bits.size(), 130u);
+  EXPECT_EQ(bits.Count(), 3u);
+  bits.Set(129);
+  bits.Resize(65);  // shrinking drops the bits past the new end
+  EXPECT_EQ(bits.Count(), 3u);
+  bits.Resize(130);
+  EXPECT_FALSE(bits.Test(129));
+}
+
+TEST(DynamicBitset, AndPrefixClearsPastThePrefixEnd) {
+  DynamicBitset bits(200);
+  bits.SetAll();
+  DynamicBitset prefix(70);
+  for (const auto i : {0, 63, 64, 69}) prefix.Set(static_cast<std::size_t>(i));
+  bits.AndPrefix(prefix);
+  DynamicBitset expected(200);
+  for (const auto i : {0, 63, 64, 69})
+    expected.Set(static_cast<std::size_t>(i));
+  EXPECT_EQ(bits, expected);
+  bits.AndPrefix(DynamicBitset(0));
+  EXPECT_TRUE(bits.None());
+}
+
 TEST(DynamicBitset, ForEachSetUntilOnEmptySetNeverCalls) {
   DynamicBitset bits(100);
   bool called = false;
