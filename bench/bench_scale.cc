@@ -5,16 +5,11 @@
 // Lanes (run in ascending memory-footprint order, because getrusage peak
 // RSS is process-monotone — a big lane would mask every later one):
 //
-//   scale_smoke_10k_{collapsed,flat}  — 10k machines, ~80k tasks (CI lane)
-//   scale_10k_{collapsed,flat}        — 10k machines, ~1M tasks
-//   scale_100k_collapsed              — 100k machines, ~1M tasks
+//   scale_smoke_10k  — 10k machines, ~60k tasks (CI lane)
+//   scale_10k        — 10k machines, ~1.2M tasks
+//   scale_100k       — 100k machines, ~1.2M tasks
 //
-// The collapsed/flat pairs share one workload, so their items/sec ratio is
-// the speedup of the equivalence-class engine over the legacy per-machine
-// path (the placement streams are bit-identical — tests/ pins that; this
-// binary only times them). --smoke keeps just the smoke pair; --flat_cluster
-// is the escape hatch that forces every lane onto the flat path (and skips
-// the 100k lane, which is only tractable collapsed).
+// --smoke keeps just the smoke lane.
 //
 // Unlike bench_perf_core this is a plain binary, not google-benchmark: each
 // lane is minutes-scale, one iteration is statistically fine, and we need
@@ -53,18 +48,14 @@ struct LaneResult {
   double rss_delta_mb = 0.0;  // growth during the lane
 };
 
-LaneResult RunLane(const std::string& name, const Workload& workload,
-                   ClusterMode mode) {
+LaneResult RunLane(const std::string& name, const Workload& workload) {
   LaneResult lane;
   lane.name = name;
   lane.machines = workload.cluster.num_machines();
   lane.tasks = workload.TotalTasks();
   const double rss_before = PeakRssMb();
-  SimOptions options;
-  options.cluster_mode = mode;
   const auto start = std::chrono::steady_clock::now();
-  const SimResult result =
-      Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
+  const SimResult result = Simulate(workload, OnlinePolicy::Tsf());
   const auto stop = std::chrono::steady_clock::now();
   TSF_CHECK_EQ(result.tasks.size(), lane.tasks);
   lane.seconds = std::chrono::duration<double>(stop - start).count();
@@ -94,12 +85,10 @@ Workload MakeWorkload(std::size_t num_machines, std::size_t num_jobs,
 int Main(int argc, char** argv) {
   const Flags flags(
       argc, argv,
-      {{"smoke", "run only the reduced-size 10k lanes (CI gate)"},
-       {"flat_cluster", "force the legacy flat path on every lane (A/B hatch)"},
+      {{"smoke", "run only the reduced-size 10k lane (CI gate)"},
        {"out", "output JSON path (default BENCH_scale.json)"},
        {"seed", "workload seed (default 1)"}});
   const bool smoke = flags.GetBool("smoke", false);
-  const bool flat_only = flags.GetBool("flat_cluster", false);
   const std::string out_path = flags.GetString("out", "BENCH_scale.json");
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
 
@@ -108,48 +97,13 @@ int Main(int argc, char** argv) {
   constexpr std::size_t kFullJobs = 25000;
 
   std::vector<LaneResult> lanes;
-  {
-    const Workload smoke_workload = MakeWorkload(10000, kSmokeJobs, seed);
-    if (!flat_only)
-      lanes.push_back(RunLane("scale_smoke_10k_collapsed", smoke_workload,
-                              ClusterMode::kCollapsed));
-    lanes.push_back(
-        RunLane("scale_smoke_10k_flat", smoke_workload, ClusterMode::kFlat));
-  }
+  lanes.push_back(
+      RunLane("scale_smoke_10k", MakeWorkload(10000, kSmokeJobs, seed)));
   if (!smoke) {
-    const Workload full_workload = MakeWorkload(10000, kFullJobs, seed);
-    if (!flat_only)
-      lanes.push_back(RunLane("scale_10k_collapsed", full_workload,
-                              ClusterMode::kCollapsed));
+    lanes.push_back(RunLane("scale_10k", MakeWorkload(10000, kFullJobs, seed)));
     lanes.push_back(
-        RunLane("scale_10k_flat", full_workload, ClusterMode::kFlat));
-    if (!flat_only) {
-      const Workload huge_workload = MakeWorkload(100000, kFullJobs, seed);
-      lanes.push_back(RunLane("scale_100k_collapsed", huge_workload,
-                              ClusterMode::kCollapsed));
-    }
+        RunLane("scale_100k", MakeWorkload(100000, kFullJobs, seed)));
   }
-
-  // Collapsed-over-flat speedups for every lane pair that ran.
-  auto find = [&](const std::string& name) -> const LaneResult* {
-    for (const LaneResult& lane : lanes)
-      if (lane.name == name) return &lane;
-    return nullptr;
-  };
-  auto speedup = [&](const char* collapsed_name, const char* flat_name) {
-    const LaneResult* c = find(collapsed_name);
-    const LaneResult* f = find(flat_name);
-    return (c != nullptr && f != nullptr)
-               ? c->items_per_second / f->items_per_second
-               : 0.0;
-  };
-  const double smoke_speedup =
-      speedup("scale_smoke_10k_collapsed", "scale_smoke_10k_flat");
-  const double full_speedup = speedup("scale_10k_collapsed", "scale_10k_flat");
-  if (smoke_speedup > 0.0)
-    std::printf("speedup (smoke 10k, collapsed vs flat): %.2fx\n", smoke_speedup);
-  if (full_speedup > 0.0)
-    std::printf("speedup (full 10k, collapsed vs flat):  %.2fx\n", full_speedup);
 
   std::ofstream out(out_path);
   TSF_CHECK(out.good()) << "cannot write " << out_path;
@@ -173,8 +127,7 @@ int Main(int argc, char** argv) {
         << ", \"rss_delta_mb\": " << lane.rss_delta_mb << "}"
         << (i + 1 < lanes.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"speedup_smoke_10k\": " << smoke_speedup
-      << ",\n  \"speedup_full_10k\": " << full_speedup << "\n}\n";
+  out << "  ]\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

@@ -10,14 +10,6 @@ namespace {
 
 constexpr const char* kHeader = "tsf-chaos-repro v1";
 
-ClusterMode ModeFromString(const std::string& name) {
-  if (name == "auto") return ClusterMode::kAuto;
-  if (name == "flat") return ClusterMode::kFlat;
-  if (name == "collapsed") return ClusterMode::kCollapsed;
-  TSF_CHECK(false) << "unknown cluster mode '" << name << "'";
-  return ClusterMode::kAuto;
-}
-
 bool IsDesSubstrate(const std::string& substrate) {
   return substrate == "des" || substrate == "des-uniform";
 }
@@ -54,8 +46,6 @@ std::string SerializeRepro(const Repro& repro) {
   out << "seed " << repro.scenario_seed << "\n";
   out << "policy " << repro.policy << "\n";
   out << "bug " << repro.injected_bug << "\n";
-  if (repro.cluster_mode != "auto")
-    out << "mode " << repro.cluster_mode << "\n";
   if (!repro.violation.empty()) out << "violation " << repro.violation << "\n";
   out << SerializeFaultPlan(repro.plan);
   return out.str();
@@ -81,8 +71,6 @@ Repro ParseRepro(const std::string& text) {
       fields >> repro.policy;
     } else if (head == "bug") {
       fields >> repro.injected_bug;
-    } else if (head == "mode") {
-      fields >> repro.cluster_mode;
     } else if (head == "violation") {
       // The remainder of the line, spaces included.
       std::getline(fields >> std::ws, repro.violation);
@@ -108,9 +96,7 @@ ScenarioReport ReplayReproReport(const Repro& repro) {
             : RandomChaosWorkload(repro.scenario_seed);
     for (const OnlinePolicy& policy : AllOnlinePolicies())
       if (policy.name == repro.policy)
-        return RunDesScenario(workload, policy, repro.plan,
-                              SimCore::kIncremental,
-                              ModeFromString(repro.cluster_mode));
+        return RunDesScenario(workload, policy, repro.plan);
     TSF_CHECK(false) << "unknown policy '" << repro.policy << "'";
     return {};
   }

@@ -27,10 +27,6 @@ struct Repro {
   // (the allocator policy is derived from the scenario seed).
   std::string policy = "TSF";
   std::string injected_bug = "none";  // "none" | "leak_task_on_crash"
-  // DES machine-set representation the failure was observed under:
-  // "auto" | "flat" | "collapsed" (sim/des.h ClusterMode). Serialized only
-  // when not "auto", so pre-existing repro files parse unchanged.
-  std::string cluster_mode = "auto";
   FaultPlan plan;
   // Informational: the first violation observed when the repro was minted.
   std::string violation;

@@ -213,11 +213,9 @@ std::vector<StreamEvent> ConvertDesStream(
 
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
-                              const FaultPlan& plan, SimCore core,
-                              ClusterMode cluster_mode) {
+                              const FaultPlan& plan, SimCore core) {
   ScenarioRunOptions options;
   options.core = core;
-  options.cluster_mode = cluster_mode;
   return RunDesScenario(workload, policy, plan, options);
 }
 
@@ -231,7 +229,6 @@ ScenarioReport RunDesScenario(const Workload& workload,
   SimOptions options;
   options.faults = CompileForDes(plan);
   options.stream = &raw;
-  options.cluster_mode = run_options.cluster_mode;
   options.fairness_sample_interval = run_options.fairness_sample_interval;
   const SimResult result =
       Simulate(workload, policy, run_options.core, options);

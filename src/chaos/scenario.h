@@ -50,7 +50,7 @@ Workload RandomChaosWorkload(std::uint64_t seed);
 // equivalence class (core/cluster.h MachineClassIndex). Jobs mix
 // unconstrained, attribute-constrained (class-uniform eligibility), and
 // whitelisted (splits classes) constraints — the adversarial surface of
-// the collapsed online scheduler.
+// the online scheduler's per-class bookkeeping.
 Workload RandomUniformChaosWorkload(std::uint64_t seed);
 
 struct DesScenario {
@@ -62,8 +62,8 @@ struct DesScenario {
 DesScenario RandomDesScenario(std::uint64_t seed);
 
 // RandomUniformChaosWorkload plus a RandomFaultPlan shaped to its cluster:
-// the collapsed-cluster golden/differential scenarios, where faults hit
-// machines inside populated equivalence classes.
+// the golden/differential scenarios where faults hit machines inside
+// populated equivalence classes.
 DesScenario RandomUniformDesScenario(std::uint64_t seed);
 
 // The checker's static view of a DES workload (normalized units, matching
@@ -77,7 +77,6 @@ std::vector<StreamEvent> ConvertDesStream(
 // taps). The defaults reproduce the plain runners exactly.
 struct ScenarioRunOptions {
   SimCore core = SimCore::kIncremental;
-  ClusterMode cluster_mode = ClusterMode::kAuto;
   // Record checker-branch coverage into ScenarioReport::coverage.
   bool coverage = false;
   // DES only: sample the fairness timeline at this virtual-time period and
@@ -87,14 +86,10 @@ struct ScenarioRunOptions {
 };
 
 // Simulates with faults + stream recording, then checks every invariant.
-// `cluster_mode` picks the machine-set representation (sim/des.h): kAuto
-// collapses only when it pays off, kFlat/kCollapsed force one engine — the
-// emitted stream must be identical either way.
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
                               const FaultPlan& plan,
-                              SimCore core = SimCore::kIncremental,
-                              ClusterMode cluster_mode = ClusterMode::kAuto);
+                              SimCore core = SimCore::kIncremental);
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
                               const FaultPlan& plan,

@@ -40,14 +40,6 @@ bool IsDesSubstrate(const std::string& substrate) {
   return substrate == "des" || substrate == "des-uniform";
 }
 
-ClusterMode ModeFromString(const std::string& name) {
-  if (name == "auto") return ClusterMode::kAuto;
-  if (name == "flat") return ClusterMode::kFlat;
-  if (name == "collapsed") return ClusterMode::kCollapsed;
-  TSF_CHECK(false) << "unknown cluster mode '" << name << "'";
-  return ClusterMode::kAuto;
-}
-
 // The lane set of a substrate selector ("both" matches the blind fuzzer's
 // three lanes).
 std::vector<std::string> LanesOf(const std::string& substrate) {
@@ -117,7 +109,6 @@ class Runner {
     ScenarioRunOptions run;
     run.coverage = true;
     if (IsDesSubstrate(repro.substrate)) {
-      run.cluster_mode = ModeFromString(repro.cluster_mode);
       run.fairness_sample_interval = options_.fairness_sample_interval;
       return RunDesScenario(DesFor(repro.substrate, repro.scenario_seed)
                                 .workload,
@@ -241,7 +232,6 @@ SearchResult RunGuidedSearch(const SearchOptions& options) {
   TSF_CHECK_GT(options.max_execs, 0u);
   TSF_CHECK_GT(options.mutations_per_parent, 0u);
   TSF_CHECK_GT(options.max_atoms, 0u);
-  ModeFromString(options.cluster_mode);  // validates the name
   const std::vector<std::string> lanes = LanesOf(options.substrate);
   // One frontier per lane, serviced round-robin: a lane whose entries score
   // high (the DES lanes carry a fairness-gap bonus the Mesos lane cannot
@@ -307,7 +297,6 @@ SearchResult RunGuidedSearch(const SearchOptions& options) {
     base.substrate = lane;
     base.scenario_seed = options.scenario_seed;
     base.policy = options.policy;
-    base.cluster_mode = options.cluster_mode;
     base.plan = runner.BasePlan(lane, options.scenario_seed);
     if (!seen_plans.insert(HashFaultPlan(base.plan)).second) continue;
     execute(base);
@@ -422,7 +411,6 @@ SearchResult RunGuidedSearch(const SearchOptions& options) {
 
 BlindSweepResult RunBlindSweep(const SearchOptions& options) {
   TSF_CHECK_GT(options.max_execs, 0u);
-  ModeFromString(options.cluster_mode);  // validates the name
   const std::vector<std::string> lanes = LanesOf(options.substrate);
   Runner runner(options);
   BlindSweepResult result;
@@ -434,7 +422,6 @@ BlindSweepResult RunBlindSweep(const SearchOptions& options) {
       repro.substrate = lane;
       repro.scenario_seed = seed;
       repro.policy = options.policy;
-      repro.cluster_mode = options.cluster_mode;
       repro.plan = runner.BasePlan(lane, seed);
       const ScenarioReport report = runner.Run(repro);
       ++result.executions;

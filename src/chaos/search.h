@@ -89,8 +89,6 @@ struct SearchOptions {
   // When false the search runs its full budget and violating plans are
   // recorded but never admitted to the corpus.
   bool stop_on_violation = true;
-  // DES machine-set representation ("auto" | "flat" | "collapsed").
-  std::string cluster_mode = "auto";
   // DES fairness feedback tap; 0 disables the fairness-gap signal.
   double fairness_sample_interval = 0.25;
   // Atom cap for mutants (the generator emits at most 8; the search may

@@ -40,46 +40,39 @@ std::size_t MachineClassIndex::CountClasses(const Cluster& cluster) {
 MachineClassIndex::MachineClassIndex(const Cluster& cluster) {
   const std::size_t n = cluster.num_machines();
   TSF_CHECK_GT(n, 0u) << "class index of an empty cluster";
+  TSF_CHECK_LT(n, std::size_t{UINT32_MAX});
   class_of_.resize(n);
   std::unordered_map<std::string, std::uint32_t> class_by_key;
+  std::vector<std::uint32_t> class_size;
   for (MachineId m = 0; m < n; ++m) {
     const auto [it, inserted] = class_by_key.emplace(
         ClassKey(cluster.machine(m)),
-        static_cast<std::uint32_t>(representative_.size()));
-    if (inserted) {
-      representative_.push_back(m);
-      class_size_.push_back(0);
-      members_.emplace_back(n);
-    }
+        static_cast<std::uint32_t>(class_size.size()));
+    if (inserted) class_size.push_back(0);
     class_of_[m] = it->second;
-    ++class_size_[it->second];
-    members_[it->second].Set(m);
+    ++class_size[it->second];
   }
+  // Counting sort by class; ascending machine order within each class.
+  member_begin_.assign(class_size.size() + 1, 0);
+  for (std::size_t c = 0; c < class_size.size(); ++c)
+    member_begin_[c + 1] = member_begin_[c] + class_size[c];
+  members_.resize(n);
+  std::vector<std::uint32_t> next(member_begin_.begin(),
+                                  member_begin_.end() - 1);
+  for (MachineId m = 0; m < n; ++m)
+    members_[next[class_of_[m]]++] = static_cast<std::uint32_t>(m);
+}
 
-  // Capacity groups, first-seen by machine index — the exact partition and
-  // order the flat DES monopoly sweep iterates (sim/des.cc GroupByCapacity).
-  group_of_class_.assign(num_classes(), UINT32_MAX);
-  std::vector<double> group_count;
-  for (MachineId m = 0; m < n; ++m) {
-    const std::uint32_t c = class_of_[m];
-    if (group_of_class_[c] == UINT32_MAX) {
-      const ResourceVector capacity = cluster.NormalizedCapacity(m);
-      std::uint32_t g = UINT32_MAX;
-      for (std::size_t i = 0; i < group_capacity_.size(); ++i)
-        if (group_capacity_[i] == capacity) {
-          g = static_cast<std::uint32_t>(i);
-          break;
-        }
-      if (g == UINT32_MAX) {
-        g = static_cast<std::uint32_t>(group_capacity_.size());
-        group_capacity_.push_back(capacity);
-        group_count.push_back(0.0);
-      }
-      group_of_class_[c] = g;
-    }
-    group_count[group_of_class_[c]] += 1.0;
-  }
-  group_count_ = std::move(group_count);
+MachineClassIndex MachineClassIndex::Singletons(std::size_t num_machines) {
+  TSF_CHECK_GT(num_machines, 0u) << "class index of an empty cluster";
+  TSF_CHECK_LT(num_machines, std::size_t{UINT32_MAX});
+  MachineClassIndex index;
+  index.class_of_.resize(num_machines);
+  std::iota(index.class_of_.begin(), index.class_of_.end(), 0u);
+  index.members_ = index.class_of_;
+  index.member_begin_.resize(num_machines + 1);
+  std::iota(index.member_begin_.begin(), index.member_begin_.end(), 0u);
+  return index;
 }
 
 Cluster::Cluster(std::vector<Machine> machines) : machines_(std::move(machines)) {

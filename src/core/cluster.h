@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,63 +92,52 @@ class Cluster {
 
 // Machine equivalence classes: machines with identical (capacity, attribute
 // set) are interchangeable for every constraint and every fit test, so the
-// trace-scale engines (online scheduler, DES, eligibility interning) operate
-// per class and expand to concrete MachineIds only at placement-emission
-// time. The Google trace has ~12k machines but only a handful of configs ×
-// attribute profiles, so num_classes() << num_machines() at scale.
+// online scheduler keeps its wait lists and free-capacity bounds per class
+// and expands to concrete MachineIds only at placement time. The Google
+// trace has ~12k machines but only a handful of configs × attribute
+// profiles, so num_classes() << num_machines() at scale; on the paper's
+// i.i.d. fleet nearly every class has one member.
 //
 // Classes are numbered in first-seen machine-index order, so the index is a
 // pure function of the machine list (deterministic across runs). The
-// canonical representative of a class is its lowest-id member.
-//
-// Capacity groups are the coarser partition by identical *normalized*
-// capacity alone (equal raw capacity implies equal normalized capacity, so
-// every class lies in exactly one group). Their first-seen order and their
-// per-group machine counts reproduce the flat monopoly-count sweep
-// (h_i/g_i) term for term, which keeps the collapsed arithmetic bit-
-// identical to the flat path.
+// canonical representative of a class is its lowest-id member. The members
+// are kept as one id array grouped by class, so the index costs O(machines)
+// words however many classes there are.
 class MachineClassIndex {
  public:
   // Builds the index for a cluster; O(machines) with hashed class lookup.
   explicit MachineClassIndex(const Cluster& cluster);
 
-  // Number of classes the index would have, without materializing the
-  // per-class member bitsets (those are O(classes * machines) bits — the
-  // auto-collapse heuristic must not pay that on a degenerate cluster whose
-  // machines are all distinct).
+  // The index of `num_machines` distinct machines: machine m is class m.
+  static MachineClassIndex Singletons(std::size_t num_machines);
+
+  // Number of classes the index would have, without building it (trace
+  // synthesis asks this to decide whether probing per class pays).
   static std::size_t CountClasses(const Cluster& cluster);
 
   std::size_t num_machines() const { return class_of_.size(); }
-  std::size_t num_classes() const { return representative_.size(); }
+  std::size_t num_classes() const { return member_begin_.size() - 1; }
 
-  std::uint32_t class_of(MachineId m) const { return class_of_.at(m); }
-  MachineId representative(std::size_t c) const {
-    return representative_.at(c);
+  std::uint32_t class_of(MachineId m) const {
+    TSF_DCHECK(m < class_of_.size());
+    return class_of_[m];
   }
-  std::uint32_t class_size(std::size_t c) const { return class_size_.at(c); }
-  // Members of class c as a bitset over machines.
-  const DynamicBitset& members(std::size_t c) const { return members_.at(c); }
-
-  // Capacity groups (normalized capacity, first-seen order).
-  std::size_t num_capacity_groups() const { return group_capacity_.size(); }
-  std::uint32_t group_of_class(std::size_t c) const {
-    return group_of_class_.at(c);
+  MachineId representative(std::size_t c) const { return members(c).front(); }
+  std::uint32_t class_size(std::size_t c) const {
+    TSF_DCHECK(c + 1 < member_begin_.size());
+    return member_begin_[c + 1] - member_begin_[c];
   }
-  const ResourceVector& group_capacity(std::size_t g) const {
-    return group_capacity_.at(g);
+  // Members of class c in ascending id order.
+  std::span<const std::uint32_t> members(std::size_t c) const {
+    return {members_.data() + member_begin_[c], class_size(c)};
   }
-  // Total machines in group g, as the double multiplier the flat h_i sweep
-  // uses (an exactly-represented small integer).
-  double group_machine_count(std::size_t g) const { return group_count_.at(g); }
 
  private:
-  std::vector<std::uint32_t> class_of_;        // per machine
-  std::vector<MachineId> representative_;      // per class, lowest member id
-  std::vector<std::uint32_t> class_size_;      // per class
-  std::vector<DynamicBitset> members_;         // per class
-  std::vector<std::uint32_t> group_of_class_;  // per class
-  std::vector<ResourceVector> group_capacity_; // per group, normalized
-  std::vector<double> group_count_;            // per group
+  MachineClassIndex() = default;
+
+  std::vector<std::uint32_t> class_of_;      // per machine
+  std::vector<std::uint32_t> members_;       // grouped by class
+  std::vector<std::uint32_t> member_begin_;  // per class, plus an end entry
 };
 
 struct SharingProblem {

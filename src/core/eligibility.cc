@@ -20,10 +20,29 @@ std::string ConstraintKey(const Constraint& constraint) {
   return key;
 }
 
-}  // namespace
+// The set of `machines` with its class summaries: O(machines).
+std::shared_ptr<EligibilitySet> Summarize(DynamicBitset machines,
+                                          const MachineClassIndex& classes) {
+  TSF_CHECK_EQ(machines.size(), classes.num_machines());
+  auto set = std::make_shared<EligibilitySet>();
+  set->num_eligible = machines.Count();
+  set->classes = DynamicBitset(classes.num_classes());
+  for (std::size_t c = 0; c < classes.num_classes(); ++c) {
+    std::uint32_t eligible = 0;
+    for (const std::uint32_t member : classes.members(c))
+      if (machines.Test(member)) ++eligible;
+    if (eligible == 0) continue;
+    set->classes.Set(c);
+    if (eligible == classes.class_size(c)) continue;
+    if (set->partial.empty())
+      set->partial = DynamicBitset(classes.num_classes());
+    set->partial.Set(c);
+  }
+  set->machines = std::move(machines);
+  return set;
+}
 
-EligibilityPool::EligibilityPool(const Cluster& cluster)
-    : cluster_(&cluster), classes_(nullptr) {}
+}  // namespace
 
 EligibilityPool::EligibilityPool(const Cluster& cluster,
                                  const MachineClassIndex& classes)
@@ -40,85 +59,15 @@ EligibilityHandle EligibilityPool::Intern(const Constraint& constraint) {
     return it->second;
   }
   ++misses_;
-  it->second = Compile(constraint);
+  auto set = Summarize(cluster_->Eligibility(constraint), *classes_);
+  set->serial = static_cast<std::uint32_t>(misses_ - 1);
+  it->second = std::move(set);
   return it->second;
 }
 
 EligibilityHandle WrapEligibility(DynamicBitset machines,
                                   const MachineClassIndex& classes) {
-  TSF_CHECK_EQ(machines.size(), classes.num_machines());
-  auto set = std::make_shared<EligibilitySet>();
-  set->machines = std::move(machines);
-  set->classes = DynamicBitset(classes.num_classes());
-  set->class_count.assign(classes.num_classes(), 0);
-  set->machines.ForEachSet([&](std::size_t m) {
-    ++set->class_count[classes.class_of(m)];
-    ++set->num_eligible;
-  });
-  for (std::size_t c = 0; c < classes.num_classes(); ++c)
-    if (set->class_count[c] > 0) set->classes.Set(c);
-  return set;
-}
-
-EligibilityHandle WrapFlatEligibility(DynamicBitset machines) {
-  auto set = std::make_shared<EligibilitySet>();
-  set->num_eligible = machines.Count();
-  set->machines = std::move(machines);
-  return set;
-}
-
-EligibilityHandle EligibilityPool::Compile(const Constraint& constraint) const {
-  if (classes_ == nullptr)
-    return WrapFlatEligibility(cluster_->Eligibility(constraint));
-  const std::size_t num_machines = classes_->num_machines();
-  const std::size_t num_classes = classes_->num_classes();
-  auto set = std::make_shared<EligibilitySet>();
-  set->machines = DynamicBitset(num_machines);
-  set->classes = DynamicBitset(num_classes);
-  set->class_count.assign(num_classes, 0);
-
-  switch (constraint.kind()) {
-    case Constraint::Kind::kNone:
-    case Constraint::Kind::kRequireAttributes:
-      // Uniform within a class: probe one representative, admit all members.
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        const Machine& probe = cluster_->machine(classes_->representative(c));
-        if (!constraint.Allows(probe.id, probe.attributes)) continue;
-        set->machines |= classes_->members(c);
-        set->classes.Set(c);
-        set->class_count[c] = classes_->class_size(c);
-        set->num_eligible += classes_->class_size(c);
-      }
-      break;
-    case Constraint::Kind::kWhitelist:
-    case Constraint::Kind::kBlacklist: {
-      // Machine-id based; may split a class. Build the exact bits from the
-      // list, then derive the class summaries.
-      if (constraint.kind() == Constraint::Kind::kBlacklist) {
-        set->machines.SetAll();
-        for (std::size_t c = 0; c < num_classes; ++c)
-          set->class_count[c] = classes_->class_size(c);
-        set->num_eligible = num_machines;
-      }
-      for (const MachineId m : constraint.machine_list()) {
-        TSF_CHECK_LT(m, num_machines);
-        const std::uint32_t c = classes_->class_of(m);
-        if (constraint.kind() == Constraint::Kind::kWhitelist) {
-          set->machines.Set(m);
-          ++set->class_count[c];
-          ++set->num_eligible;
-        } else {
-          set->machines.Reset(m);
-          --set->class_count[c];
-          --set->num_eligible;
-        }
-      }
-      for (std::size_t c = 0; c < num_classes; ++c)
-        if (set->class_count[c] > 0) set->classes.Set(c);
-      break;
-    }
-  }
-  return set;
+  return Summarize(std::move(machines), classes);
 }
 
 std::size_t EligibilityPool::EvictUnused() {

@@ -1,23 +1,15 @@
 // Hash-consed, refcounted eligibility sets over machine equivalence classes.
 //
 // Many jobs carry the same placement constraint (the Google mix draws from a
-// small pool of attribute combos), and on a class-collapsed cluster one
-// constraint's eligibility is decided per *class*, not per machine. This
-// module interns the compiled form: one EligibilitySet per distinct
-// constraint, shared across every job that carries it (std::shared_ptr is
-// the refcount), with both the exact per-machine bitset (placement streams
-// must stay bit-identical to the flat path) and the class-level summaries
-// (per-class eligible counts, the class bitset) that let the scheduler and
-// the DES run O(classes) sweeps instead of O(machines).
-//
-// Attribute constraints are uniform within a class (equal attribute sets),
-// so Intern probes one canonical representative per class. Whitelists and
-// blacklists name concrete machines and may split a class: their exact
-// machine bits are built from the list and the class counts derived, so a
-// partially-eligible class reports 0 < class_count < class_size.
-//
-// A pool built without a class index interns for flat owners: its sets
-// carry only the machine bits, compiled by Cluster::Eligibility.
+// small pool of attribute combos), so this module interns the compiled form:
+// one EligibilitySet per distinct constraint, shared across every job that
+// carries it (std::shared_ptr is the refcount). A set holds the exact
+// per-machine bitset, which Cluster::Eligibility compiles (listed ids past
+// the cluster are ignored), and the class summaries the online scheduler
+// registers its wait lists by: the classes with an eligible member, and
+// among them the classes only partly covered. Attribute constraints cover
+// whole classes (members share their attribute set); white- and blacklists
+// name concrete machines and may split one.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +25,25 @@
 namespace tsf {
 
 struct EligibilitySet {
-  DynamicBitset machines;  // exact per-machine eligibility (bit-identity)
-  DynamicBitset classes;   // classes with at least one eligible machine
-  std::vector<std::uint32_t> class_count;  // eligible machines per class
-  std::size_t num_eligible = 0;            // machines.Count()
+  DynamicBitset machines;  // exact per-machine eligibility
+  DynamicBitset classes;   // classes with at least one eligible member
+  // Classes with an eligible and an ineligible member; empty (size 0) when
+  // no class is split, as for every attribute constraint.
+  DynamicBitset partial;
+  std::size_t num_eligible = 0;  // machines.Count()
+  // Position in its pool's compile order (0 for the first set compiled), a
+  // dense key for callers' per-set memos; 0 for a wrapped set.
+  std::uint32_t serial = 0;
 
   // True iff machine m is eligible.
   bool EligibleOn(MachineId m) const { return machines.Test(m); }
-  // True iff every member of class c is eligible (the tightening commits of
-  // the scheduler's class upper bounds require full coverage).
-  bool ClassFull(std::size_t c, const MachineClassIndex& classes_index) const {
-    return class_count[c] == classes_index.class_size(c);
+  // True iff class c has an eligible and an ineligible member.
+  bool PartlyCovers(std::size_t c) const {
+    return !partial.empty() && partial.Test(c);
+  }
+  // True iff every member of class c is eligible.
+  bool ClassFull(std::size_t c) const {
+    return classes.Test(c) && !PartlyCovers(c);
   }
 };
 
@@ -52,21 +52,13 @@ struct EligibilitySet {
 using EligibilityHandle = std::shared_ptr<const EligibilitySet>;
 
 // Builds a non-interned set from an ad-hoc machine bitset, deriving the
-// class summaries from `classes` (collapsed-mode owners with a mask that
-// did not come from a Constraint).
+// class summaries from `classes` in O(machines).
 EligibilityHandle WrapEligibility(DynamicBitset machines,
                                   const MachineClassIndex& classes);
 
-// Machines-only wrap, no class summaries (flat-mode owners; the class
-// fields stay empty and must not be consulted).
-EligibilityHandle WrapFlatEligibility(DynamicBitset machines);
-
 class EligibilityPool {
  public:
-  // Flat mode (sets without class summaries). The cluster must outlive the
-  // pool.
-  explicit EligibilityPool(const Cluster& cluster);
-  // Collapsed mode. Both referents must outlive the pool.
+  // Both referents must outlive the pool.
   EligibilityPool(const Cluster& cluster, const MachineClassIndex& classes);
 
   // Returns the interned set for `constraint`, compiling it on first sight.
@@ -83,10 +75,8 @@ class EligibilityPool {
   std::size_t EvictUnused();
 
  private:
-  EligibilityHandle Compile(const Constraint& constraint) const;
-
   const Cluster* cluster_;
-  const MachineClassIndex* classes_;  // null in flat mode
+  const MachineClassIndex* classes_;
   std::unordered_map<std::string, EligibilityHandle> pool_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

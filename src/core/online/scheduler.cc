@@ -15,29 +15,41 @@ OnlineScheduler::OnlineScheduler(std::vector<ResourceVector> machine_capacity,
 
 OnlineScheduler::OnlineScheduler(std::vector<ResourceVector> machine_capacity,
                                  OnlinePolicy policy,
+                                 const MachineClassIndex& classes)
+    : OnlineScheduler(std::move(machine_capacity), std::move(policy),
+                      &classes) {}
+
+OnlineScheduler::OnlineScheduler(std::vector<ResourceVector> machine_capacity,
+                                 OnlinePolicy policy,
                                  const MachineClassIndex* classes)
     : policy_(std::move(policy)),
       free_(std::move(machine_capacity)),
       capacity_(free_),
       down_(free_.size(), false),
-      classes_(classes),
-      wait_lists_(classes ? 0 : free_.size()) {
+      owned_classes_(classes != nullptr
+                         ? nullptr
+                         : std::make_unique<const MachineClassIndex>(
+                               MachineClassIndex::Singletons(free_.size()))),
+      classes_(classes != nullptr ? classes : owned_classes_.get()) {
   TSF_CHECK(!free_.empty());
-  if (classes_ == nullptr) return;
   TSF_CHECK_EQ(classes_->num_machines(), free_.size())
       << "class index built for a different machine set";
-  const std::size_t nc = classes_->num_classes();
-  class_ub_.reserve(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
+  const std::size_t num_classes = classes_->num_classes();
+  waiting_.resize(num_classes);
+  bound_of_.assign(free_.size(), kNoBound);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    if (classes_->class_size(c) == 1) continue;
+    const auto slot = static_cast<std::uint32_t>(bound_.size());
     // All members share one capacity vector; the representative's pristine
     // capacity is a valid upper bound on every member's free capacity.
-    class_ub_.push_back(capacity_[classes_->representative(c)]);
+    bound_.push_back(capacity_[classes_->representative(c)]);
+    bound_members_.push_back(classes_->class_size(c));
+    for (const std::uint32_t m : classes_->members(c)) bound_of_[m] = slot;
   }
-  class_scan_epoch_.assign(nc, 0);
-  class_scan_fit_.assign(nc, 0);
-  class_visited_.assign(nc, 0);
-  class_observed_.assign(nc, ResourceVector());
-  class_buckets_.resize(nc);
+  scan_epoch_of_.assign(bound_.size(), 0);
+  scan_fit_.assign(bound_.size(), 0);
+  scan_visited_.assign(bound_.size(), 0);
+  scan_observed_.assign(bound_.size(), ResourceVector());
 }
 
 std::uint32_t OnlineScheduler::InternDemand(const ResourceVector& demand) {
@@ -46,7 +58,10 @@ std::uint32_t OnlineScheduler::InternDemand(const ResourceVector& demand) {
   const auto [it, inserted] =
       demand_ids_.emplace(std::move(key),
                           static_cast<std::uint32_t>(demands_.size()));
-  if (inserted) demands_.push_back(demand);
+  if (inserted) {
+    demands_.push_back(demand);
+    verdict_.push_back(0);
+  }
   return it->second;
 }
 
@@ -59,53 +74,39 @@ UserId OnlineScheduler::AddUser(OnlineUserSpec spec) {
   TSF_CHECK_GT(spec.g, 0.0);
 
   const UserId id = users_.size();
+  TSF_CHECK_LT(id, std::size_t{UINT32_MAX})
+      << "wait-list entries hold 32-bit ids";
   User user;
-  user.demand = std::move(spec.demand);
-  if (spec.eligible_set != nullptr) {
-    user.elig = std::move(spec.eligible_set);
-  } else if (classes_ != nullptr) {
-    user.elig = WrapEligibility(std::move(spec.eligible), *classes_);
-  } else {
-    user.elig = WrapFlatEligibility(std::move(spec.eligible));
-  }
+  user.elig = spec.eligible_set != nullptr
+                  ? std::move(spec.eligible_set)
+                  : WrapEligibility(std::move(spec.eligible), *classes_);
   TSF_CHECK_EQ(user.elig->machines.size(), free_.size());
   TSF_CHECK(user.elig->machines.Any());
-  if (classes_ != nullptr)
-    TSF_CHECK_EQ(user.elig->classes.size(), classes_->num_classes())
-        << "collapsed scheduler needs class summaries on the eligibility set";
-  if (classes_ != nullptr) user.demand_id = InternDemand(user.demand);
-  user.weight = spec.weight;
-  user.h = spec.h;
-  user.g = spec.g;
+  TSF_CHECK_EQ(user.elig->classes.size(), classes_->num_classes())
+      << "eligibility set compiled for a different class index";
+  user.demand_id = InternDemand(spec.demand);
   user.pending = spec.pending;
   total_pending_ += spec.pending;
-  user.coeff = ShareCoefficient(policy_, user.demand, user.weight, user.h,
-                                user.g);
+  user.coeff =
+      ShareCoefficient(policy_, spec.demand, spec.weight, spec.h, spec.g);
   user.key = policy_.kind == OnlinePolicy::Kind::kFifo
                  ? static_cast<double>(id)  // arrival order, never changes
                  : 0.0;
   users_.push_back(std::move(user));
-  if (users_[id].pending > 0) RegisterWaiting(id);
+  queued_.push_back(users_[id].pending > 0 ? 1 : 0);
+  if (queued_[id] != 0) RegisterWaiting(id);
   return id;
 }
 
 void OnlineScheduler::RegisterWaiting(UserId id) {
   const User& user = users_[id];
   const EligibilitySet& elig = *user.elig;
-  if (classes_ != nullptr) {
-    elig.classes.ForEachSet([&](std::size_t c) {
-      // Classes see few distinct demand shapes; linear probe suffices.
-      for (DemandBucket& bucket : class_buckets_[c])
-        if (bucket.demand_id == user.demand_id) {
-          bucket.users.push_back(id);
-          return;
-        }
-      class_buckets_[c].push_back(DemandBucket{user.demand_id, {id}});
-    });
-  } else {
-    elig.machines.ForEachSet(
-        [&](std::size_t m) { wait_lists_[m].push_back(id); });
-  }
+  const auto entry_user = static_cast<std::uint32_t>(id);
+  const std::uint32_t shape = user.demand_id << 1;
+  elig.classes.ForEachSet([&](std::size_t c) {
+    waiting_[c].push_back(
+        WaitEntry{entry_user, shape | (elig.PartlyCovers(c) ? 1u : 0u)});
+  });
 }
 
 void OnlineScheduler::AddPending(UserId user, long count) {
@@ -120,7 +121,10 @@ void OnlineScheduler::AddPending(UserId user, long count) {
   // one back now that it has work again. A not-yet-compacted stale entry
   // just yields a duplicate, which the serve loop tolerates: the heap
   // orders by (key, id), so duplicates pop as stale and re-rank harmlessly.
-  if (was_drained && u.pending > 0) RegisterWaiting(user);
+  if (was_drained && u.pending > 0) {
+    queued_[user] = 1;
+    RegisterWaiting(user);
+  }
 }
 
 void OnlineScheduler::OnTaskFinish(UserId user, MachineId machine) {
@@ -130,14 +134,15 @@ void OnlineScheduler::OnTaskFinish(UserId user, MachineId machine) {
   TSF_CHECK(u.elig->machines.Test(machine));
   --u.running;
   UpdateKey(u);
-  free_[machine] += u.demand;
-  if (classes_ != nullptr)
-    class_ub_[classes_->class_of(machine)].MaxWith(free_[machine]);
+  free_[machine] += Demand(u);
+  if (bound_of_[machine] != kNoBound)
+    bound_[bound_of_[machine]].MaxWith(free_[machine]);
 }
 
 void OnlineScheduler::Retire(UserId user) {
   TSF_CHECK_LT(user, users_.size());
   users_[user].retired = true;
+  queued_[user] = 0;
 }
 
 void OnlineScheduler::CrashMachine(MachineId machine) {
@@ -145,8 +150,8 @@ void OnlineScheduler::CrashMachine(MachineId machine) {
   TSF_CHECK(!down_[machine]) << "machine " << machine << " already down";
   free_[machine] = ResourceVector(capacity_[machine].dimension());
   down_[machine] = true;
-  // class_ub_ stays stale-high: a zeroed member only lowers the true max,
-  // and the bound is allowed to overestimate.
+  // The class bound stays stale-high: a zeroed member only lowers the true
+  // max, and the bound is allowed to overestimate.
 }
 
 void OnlineScheduler::RestoreMachine(MachineId machine) {
@@ -154,8 +159,8 @@ void OnlineScheduler::RestoreMachine(MachineId machine) {
   TSF_CHECK(down_[machine]) << "machine " << machine << " is not down";
   free_[machine] = capacity_[machine];
   down_[machine] = false;
-  if (classes_ != nullptr)
-    class_ub_[classes_->class_of(machine)].MaxWith(free_[machine]);
+  if (bound_of_[machine] != kNoBound)
+    bound_[bound_of_[machine]].MaxWith(free_[machine]);
 }
 
 double OnlineScheduler::Key(UserId user) const { return users_[user].key; }
@@ -163,9 +168,10 @@ double OnlineScheduler::Key(UserId user) const { return users_[user].key; }
 bool OnlineScheduler::TryPlace(UserId user, MachineId machine) {
   User& u = users_[user];
   if (u.pending <= 0) return false;
-  if (!free_[machine].Fits(u.demand)) return false;
-  free_[machine] -= u.demand;
-  --u.pending;
+  const ResourceVector& demand = Demand(u);
+  if (!free_[machine].Fits(demand)) return false;
+  free_[machine] -= demand;
+  if (--u.pending == 0) queued_[user] = 0;
   --total_pending_;
   ++u.running;
   UpdateKey(u);
@@ -176,74 +182,65 @@ void OnlineScheduler::PlaceUserGreedy(
     UserId user, const std::function<void(MachineId)>& on_place) {
   User& u = users_[user];
   if (u.pending <= 0) return;
-  if (classes_ != nullptr) {
-    PlaceUserGreedyCollapsed(user, on_place);
-    return;
-  }
-  // First-fit over eligible machines in index order; stop early once the
-  // queue drains.
-  u.elig->machines.ForEachSetUntil([&](std::size_t m) {
-    while (TryPlace(user, m)) on_place(m);
-    return u.pending <= 0;
-  });
-}
-
-void OnlineScheduler::PlaceUserGreedyCollapsed(
-    UserId user, const std::function<void(MachineId)>& on_place) {
-  User& u = users_[user];
-  const DynamicBitset& elig = u.elig->machines;
   ++scan_epoch_;
   if (scan_epoch_ == 0) {  // epoch counter wrapped: hard-reset the memo
-    std::fill(class_scan_epoch_.begin(), class_scan_epoch_.end(), 0u);
+    std::fill(scan_epoch_of_.begin(), scan_epoch_of_.end(), 0u);
     scan_epoch_ = 1;
   }
-  // Same machine order as the flat scan; whole classes are pruned when the
-  // upper bound proves no member can fit this demand.
-  for (std::size_t m = elig.FindFirst(); m < elig.size();
-       m = elig.FindNextSet(m + 1)) {
-    const std::uint32_t c = classes_->class_of(m);
-    if (class_scan_epoch_[c] != scan_epoch_) {
-      class_scan_epoch_[c] = scan_epoch_;
-      class_scan_fit_[c] =
-          static_cast<signed char>(class_ub_[c].Fits(u.demand) ? 1 : 0);
-      class_visited_[c] = 0;
+  // First-fit over eligible machines in index order; stop early once the
+  // queue drains. A bounded class is pruned whole when its bound proves no
+  // member can fit this demand.
+  u.elig->machines.ForEachSetUntil([&](std::size_t m) {
+    const std::uint32_t b = bound_of_[m];
+    if (b == kNoBound) {
+      while (TryPlace(user, m)) on_place(m);
+      return u.pending <= 0;
     }
-    if (class_scan_fit_[c] == 0) {
+    if (scan_epoch_of_[b] != scan_epoch_) {
+      scan_epoch_of_[b] = scan_epoch_;
+      scan_fit_[b] =
+          static_cast<signed char>(bound_[b].Fits(Demand(u)) ? 1 : 0);
+      scan_visited_[b] = 0;
+    }
+    if (scan_fit_[b] == 0) {
       TSF_COUNTER_ADD("scheduler.greedy.class_skips", 1);
-      continue;
+      return false;
     }
     while (TryPlace(user, m)) on_place(m);
     // Only this user places during the scan (capacity is monotone
     // non-increasing), so the running max of post-visit free vectors upper
     // bounds every member visited so far.
-    if (class_visited_[c] == 0) {
-      class_observed_[c] = free_[m];
+    if (scan_visited_[b] == 0) {
+      scan_observed_[b] = free_[m];
     } else {
-      class_observed_[c].MaxWith(free_[m]);
+      scan_observed_[b].MaxWith(free_[m]);
     }
-    ++class_visited_[c];
-    if (class_visited_[c] == classes_->class_size(c)) {
+    if (++scan_visited_[b] == bound_members_[b]) {
       // Visited the whole class: the observed max is its true bound right
       // now. Commit it — this is the only place the bound tightens (the
       // event-driven updates only ever grow it).
-      TSF_DCHECK(u.elig->ClassFull(c, *classes_));
-      class_ub_[c] = class_observed_[c];
+      TSF_DCHECK(u.elig->ClassFull(classes_->class_of(m)));
+      bound_[b] = scan_observed_[b];
       TSF_COUNTER_ADD("scheduler.greedy.ub_tightened", 1);
     }
-    if (u.pending <= 0) return;
-  }
+    return u.pending <= 0;
+  });
 }
 
-std::size_t OnlineScheduler::AdvanceCursor(ClassCursor& cursor) {
+std::size_t OnlineScheduler::AdvanceCursor(Cursor& cursor) {
   const User& u = users_[cursor.user];
   const DynamicBitset& elig = u.elig->machines;
   std::size_t m = elig.FindNextSet(cursor.next);
   while (m < elig.size()) {
-    const std::uint32_t c = classes_->class_of(m);
-    signed char& fit = cursor.class_fit[c];
-    if (fit < 0)
-      fit = static_cast<signed char>(class_ub_[c].Fits(u.demand) ? 1 : 0);
-    if (fit == 1 && free_[m].Fits(u.demand)) break;
+    const std::uint32_t b = bound_of_[m];
+    bool may_fit = true;
+    if (b != kNoBound) {
+      signed char& fit = cursor.bound_fit[b];
+      if (fit < 0)
+        fit = static_cast<signed char>(bound_[b].Fits(Demand(u)) ? 1 : 0);
+      may_fit = fit == 1;
+    }
+    if (may_fit && free_[m].Fits(Demand(u))) break;
     m = elig.FindNextSet(m + 1);
   }
   cursor.next = m;
@@ -259,32 +256,21 @@ void OnlineScheduler::PlaceUsersInterleaved(
     PlaceUserGreedy(user, [&](MachineId m) { on_place(user, m); });
     return;
   }
-  if (classes_ != nullptr) {
-    PlaceUsersInterleavedCollapsed(users, on_place);
-    return;
-  }
 
   // Per-user resumable scan over its eligible machines. Capacity only
   // shrinks during this phase, so a machine that failed the fit test once
   // never needs revisiting for the same user (cursors are monotone).
-  struct Cursor {
-    UserId user = 0;
-    std::vector<MachineId> machines;
-    std::size_t next = 0;
-    bool exhausted() const { return next >= machines.size(); }
-  };
   std::vector<Cursor> cursors;
   cursors.reserve(users.size());
   for (const UserId user : users) {
     TSF_CHECK_LT(user, users_.size());
     Cursor cursor;
     cursor.user = user;
-    users_[user].elig->machines.ForEachSet(
-        [&](std::size_t m) { cursor.machines.push_back(m); });
+    cursor.bound_fit.assign(bound_.size(), -1);
     cursors.push_back(std::move(cursor));
   }
-  // Ordered by user id, the heap's tie-break is cursor index == the old
-  // linear scan's "lowest user id wins" rule.
+  // Ordered by user id, the heap's tie-break is cursor index == the
+  // reference's "lowest user id wins" rule.
   std::stable_sort(cursors.begin(), cursors.end(),
                    [](const Cursor& a, const Cursor& b) { return a.user < b.user; });
 
@@ -306,55 +292,6 @@ void OnlineScheduler::PlaceUsersInterleaved(
       heap_.Push(u.key, entry.id);
       continue;
     }
-    while (!cursor.exhausted() &&
-           !free_[cursor.machines[cursor.next]].Fits(u.demand))
-      ++cursor.next;
-    if (cursor.exhausted()) continue;  // permanently out of this phase
-    const MachineId machine = cursor.machines[cursor.next];
-    TSF_CHECK(TryPlace(cursor.user, machine));
-    TSF_COUNTER_ADD("scheduler.interleave.placements", 1);
-    on_place(cursor.user, machine);
-    if (u.pending > 0) heap_.Push(u.key, entry.id);
-  }
-}
-
-void OnlineScheduler::PlaceUsersInterleavedCollapsed(
-    std::vector<UserId> users,
-    const std::function<void(UserId, MachineId)>& on_place) {
-  // Same (key, cursor-index) serving order as the flat loop; the cursors
-  // walk the eligibility bitsets directly instead of materializing one
-  // machine vector per user, and dead classes are pruned via the upper
-  // bounds. Both loops advance past non-fitting machines permanently, so
-  // every placement lands on the same (user, machine) pair as flat mode.
-  std::vector<ClassCursor> cursors;
-  cursors.reserve(users.size());
-  std::sort(users.begin(), users.end());
-  for (const UserId user : users) {
-    TSF_CHECK_LT(user, users_.size());
-    ClassCursor cursor;
-    cursor.user = user;
-    cursor.class_fit.assign(classes_->num_classes(), -1);
-    cursors.push_back(std::move(cursor));
-  }
-
-  heap_.Clear();
-  heap_.Reserve(cursors.size());
-  for (std::size_t c = 0; c < cursors.size(); ++c)
-    if (users_[cursors[c].user].pending > 0)
-      heap_.PushUnordered(users_[cursors[c].user].key, c);
-  heap_.Heapify();
-
-  while (!heap_.Empty()) {
-    const RankEntry entry = heap_.PopMin();
-    TSF_COUNTER_ADD("scheduler.interleave.heap_pops", 1);
-    ClassCursor& cursor = cursors[entry.id];
-    User& u = users_[cursor.user];
-    if (u.pending <= 0) continue;
-    if (entry.key != u.key) {  // stale entry: re-rank at the current key
-      TSF_COUNTER_ADD("scheduler.interleave.stale_entries", 1);
-      heap_.Push(u.key, entry.id);
-      continue;
-    }
     const std::size_t machine = AdvanceCursor(cursor);
     if (machine == SIZE_MAX) continue;  // permanently out of this phase
     TSF_CHECK(TryPlace(cursor.user, machine));
@@ -364,117 +301,76 @@ void OnlineScheduler::PlaceUsersInterleavedCollapsed(
   }
 }
 
+bool OnlineScheduler::ShapeFits(std::uint32_t d, MachineId machine) {
+  std::uint32_t& verdict = verdict_[d];
+  if ((verdict >> 1) != serve_epoch_) {
+    const bool fits = free_[machine].Fits(demands_[d]);
+    if (fits) live_shapes_.push_back(d);
+    verdict = serve_epoch_ << 1 | (fits ? 1u : 0u);
+  }
+  return (verdict & 1) != 0;
+}
+
 void OnlineScheduler::ServeMachine(
     MachineId machine, const std::function<void(UserId, MachineId)>& on_place) {
-  if (classes_ != nullptr) {
-    ServeMachineCollapsed(machine, on_place);
-    return;
-  }
-  std::vector<UserId>& candidates = wait_lists_[machine];
-  if (candidates.empty()) return;  // nobody waiting on this machine
+  std::vector<WaitEntry>& waiting = waiting_[classes_->class_of(machine)];
+  if (waiting.empty()) return;  // nobody waiting on this class
   TSF_TRACE_SCOPE("scheduler", "ServeMachine");
   TSF_COUNTER_ADD("scheduler.serve_machine.calls", 1);
-  TSF_HISTOGRAM_RECORD("scheduler.serve_machine.wait_list",
-                       candidates.size());
+  TSF_HISTOGRAM_RECORD("scheduler.serve_machine.wait_list", waiting.size());
+  if (++serve_epoch_ == UINT32_MAX >> 1) {  // epoch would overflow its bits
+    std::fill(verdict_.begin(), verdict_.end(), 0u);
+    serve_epoch_ = 1;
+  }
+  live_shapes_.clear();
 
-  // Build the min-heap and compact the wait list in one pass: retired or
+  // Build the min-heap and compact the wait list in one pass. Retired or
   // drained users drop out (AddPending re-registers a user that gets new
-  // tasks), users with work but no room right now stay listed for the next
-  // free-up. The scan is proportional to the machine's queue pressure, not
-  // to every user ever admitted.
+  // tasks). Users of one demand shape share one fit verdict, and only an
+  // entry whose shape fits reads its user, so on a full machine the scan
+  // costs two table lookups per entry. A user eligible on part of the
+  // class enters the heap only if it is eligible on this machine.
   heap_.Clear();
-  heap_.Reserve(candidates.size());
   std::size_t keep = 0;
-  for (const UserId id : candidates) {
-    const User& u = users_[id];
-    if (u.retired || u.pending <= 0) continue;
-    candidates[keep++] = id;
-    if (free_[machine].Fits(u.demand)) heap_.PushUnordered(u.key, id);
+  for (const WaitEntry entry : waiting) {
+    if (queued_[entry.user] == 0) continue;
+    waiting[keep++] = entry;
+    if (!ShapeFits(entry.shape >> 1, machine)) continue;
+    const User& u = users_[entry.user];
+    if ((entry.shape & 1) != 0 && !u.elig->machines.Test(machine)) continue;
+    heap_.PushUnordered(u.key, entry.user);
   }
   TSF_COUNTER_ADD("scheduler.serve_machine.wait_list_compacted",
-                  static_cast<std::int64_t>(candidates.size() - keep));
-  candidates.resize(keep);
+                  static_cast<std::int64_t>(waiting.size() - keep));
+  waiting.resize(keep);
   heap_.Heapify();
 
   // Serve ascending (key, id). Capacity only shrinks and keys only grow
-  // within the phase, so a candidate that fails the fit test is out for
-  // good, and the heap invariant is maintained by re-pushing the served
-  // user at its raised key: O(log n) per placement instead of a rescan.
-
+  // within the phase, so a shape that stops fitting is out for good, and
+  // the heap invariant is maintained by re-pushing the served user at its
+  // raised key: O(log n) per placement instead of a rescan. Once no
+  // admitted shape fits, every remaining pop would fail, so the serve ends.
   while (!heap_.Empty()) {
     const RankEntry entry = heap_.PopMin();
     TSF_COUNTER_ADD("scheduler.serve_machine.heap_pops", 1);
     const UserId id = entry.id;
     User& u = users_[id];
-    if (u.pending <= 0) continue;
+    if (u.pending <= 0 || (verdict_[u.demand_id] & 1) == 0) continue;
     if (entry.key != u.key) {  // stale entry: re-rank at the current key
       TSF_COUNTER_ADD("scheduler.serve_machine.stale_entries", 1);
       heap_.Push(u.key, id);
       continue;
     }
-    if (!free_[machine].Fits(u.demand)) continue;  // out for this phase
     TSF_CHECK(TryPlace(id, machine));
     TSF_COUNTER_ADD("scheduler.serve_machine.placements", 1);
     on_place(id, machine);
     if (u.pending > 0) heap_.Push(u.key, id);
-  }
-}
-
-void OnlineScheduler::ServeMachineCollapsed(
-    MachineId machine, const std::function<void(UserId, MachineId)>& on_place) {
-  std::vector<DemandBucket>& buckets =
-      class_buckets_[classes_->class_of(machine)];
-  if (buckets.empty()) return;  // nobody waiting on this class
-  TSF_TRACE_SCOPE("scheduler", "ServeMachine");
-  TSF_COUNTER_ADD("scheduler.serve_machine.calls", 1);
-
-  // Candidate construction, bucket by bucket: one Fits test per demand
-  // shape retires or admits the whole bucket (members share the demand
-  // vector byte-exactly, so their verdicts are identical to the flat
-  // per-user tests). Admitted buckets compact exactly like the flat wait
-  // list — retired/drained out, a member of a partially-eligible class
-  // stays listed for its class but only enters the heap for machines it is
-  // actually eligible on — so the heap holds exactly the flat path's
-  // candidate set. Non-fitting buckets are untouched: on a full machine a
-  // serve costs O(demand shapes), not O(queue pressure).
-  heap_.Clear();
-  std::size_t scanned = 0;
-  for (DemandBucket& bucket : buckets) {
-    if (!free_[machine].Fits(demands_[bucket.demand_id])) continue;
-    scanned += bucket.users.size();
-    std::size_t keep = 0;
-    for (const UserId id : bucket.users) {
-      const User& u = users_[id];
-      if (u.retired || u.pending <= 0) continue;
-      bucket.users[keep++] = id;
-      if (!u.elig->machines.Test(machine)) continue;
-      heap_.PushUnordered(u.key, id);
-    }
-    TSF_COUNTER_ADD("scheduler.serve_machine.wait_list_compacted",
-                    static_cast<std::int64_t>(bucket.users.size() - keep));
-    bucket.users.resize(keep);
-  }
-  TSF_HISTOGRAM_RECORD("scheduler.serve_machine.wait_list", scanned);
-  heap_.Heapify();
-
-  // Identical serve loop to the flat path: ascending (key, id), stale
-  // entries re-ranked, a failed fit is final for the phase.
-  while (!heap_.Empty()) {
-    const RankEntry entry = heap_.PopMin();
-    TSF_COUNTER_ADD("scheduler.serve_machine.heap_pops", 1);
-    const UserId id = entry.id;
-    User& u = users_[id];
-    if (u.pending <= 0) continue;
-    if (entry.key != u.key) {  // stale entry: re-rank at the current key
-      TSF_COUNTER_ADD("scheduler.serve_machine.stale_entries", 1);
-      heap_.Push(u.key, id);
-      continue;
-    }
-    if (!free_[machine].Fits(u.demand)) continue;  // out for this phase
-    TSF_CHECK(TryPlace(id, machine));
-    TSF_COUNTER_ADD("scheduler.serve_machine.placements", 1);
-    on_place(id, machine);
-    if (u.pending > 0) heap_.Push(u.key, id);
+    std::erase_if(live_shapes_, [&](std::uint32_t d) {
+      if (free_[machine].Fits(demands_[d])) return false;
+      verdict_[d] &= ~1u;
+      return true;
+    });
+    if (live_shapes_.empty()) break;
   }
 }
 

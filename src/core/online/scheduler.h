@@ -24,16 +24,18 @@
 // implementation as an executable spec; the differential tests assert
 // placement-for-placement identity between the two.
 //
-// Collapsed mode (trace scale): constructed with a MachineClassIndex, the
-// scheduler keeps its bookkeeping per machine *class* instead of per
-// machine — one wait list per class, a stale-high free-capacity upper
-// bound per class that prunes whole classes from placement scans, and
-// resumable bitset cursors instead of materialized machine lists. Placement
-// decisions still test the exact per-machine free vector, so the emitted
-// placement stream is bit-identical to the flat path; only the work spent
-// finding each placement shrinks from O(machines) to O(classes). Flat mode
-// (the two-argument constructor) is byte-for-byte the legacy code path and
-// serves as the A/B baseline.
+// Machine classes: the scheduler keeps its wait lists and free-capacity
+// bounds per class of identical machines (core/cluster.h
+// MachineClassIndex) instead of per machine. A class's wait list holds one
+// 8-byte entry per waiting user: the user, its interned demand shape, and a
+// bit set when the user is eligible on only part of the class. A serve
+// decides Fits once per demand shape present, never reads a user whose
+// shape does not fit, and stops as soon as no admitted shape fits the
+// machine. A class with several members also keeps a stale-high bound on
+// their free capacity, which lets placement scans skip the whole class; a
+// class of one keeps no bound, so it costs what a machine costs. Placement
+// decisions always test the exact per-machine free vector, so the emitted
+// placement stream does not depend on how the machines are grouped.
 //
 // The on_place callbacks must not mutate the scheduler (no AddUser /
 // AddPending / OnTaskFinish re-entry): both serve loops assume keys only
@@ -42,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,8 +63,9 @@ struct OnlineUserSpec {
   ResourceVector demand;   // normalized per-task demand
   DynamicBitset eligible;  // over the scheduler's machines
   // Interned alternative to `eligible`: when set, it wins and `eligible` is
-  // ignored (collapsed-mode callers share one compiled set across users
-  // carrying the same constraint — see core/eligibility.h).
+  // ignored (the simulator shares one compiled set across users carrying
+  // the same constraint — see core/eligibility.h). Its class summaries must
+  // come from the scheduler's class index.
   EligibilityHandle eligible_set;
   double weight = 1.0;
   double h = 0.0;  // unconstrained monopoly tasks (TSF denominator)
@@ -72,19 +76,18 @@ struct OnlineUserSpec {
 class OnlineScheduler {
  public:
   // `machine_capacity` is the normalized configuration vector per machine.
-  // Flat mode: every structure is per-machine (the legacy layout).
+  // Every machine is its own class.
   OnlineScheduler(std::vector<ResourceVector> machine_capacity,
                   OnlinePolicy policy);
 
-  // Collapsed mode when `classes` is non-null (must outlive the scheduler
-  // and index the same machines); flat mode when null.
+  // Machines grouped by `classes`, which must index the same machines and
+  // outlive the scheduler.
   OnlineScheduler(std::vector<ResourceVector> machine_capacity,
-                  OnlinePolicy policy, const MachineClassIndex* classes);
+                  OnlinePolicy policy, const MachineClassIndex& classes);
 
   std::size_t num_machines() const { return free_.size(); }
   std::size_t num_users() const { return users_.size(); }
   const OnlinePolicy& policy() const { return policy_; }
-  bool collapsed() const { return classes_ != nullptr; }
 
   // Registers a user; ids are dense and assigned in call order (which is
   // what FIFO ranks by).
@@ -147,12 +150,8 @@ class OnlineScheduler {
 
  private:
   struct User {
-    ResourceVector demand;
     EligibilityHandle elig;  // shared across users with equal constraints
-    std::uint32_t demand_id = 0;  // interned demand shape (collapsed mode)
-    double weight = 1.0;
-    double h = 0.0;
-    double g = 0.0;
+    std::uint32_t demand_id = 0;  // interned demand shape, see demands_
     long pending = 0;
     long running = 0;
     // Cached key state: key == running * coeff for every non-FIFO policy
@@ -163,49 +162,48 @@ class OnlineScheduler {
     bool retired = false;
   };
 
-  // Resumable per-user scan for the collapsed interleaved loop: `next` is a
-  // machine-id position into the user's eligibility bitset (no materialized
-  // machine vector), `class_fit` memoizes per-class "no member can fit"
-  // verdicts, final for the phase because the class upper bounds cannot
-  // shrink while it runs.
-  struct ClassCursor {
-    UserId user = 0;
-    std::size_t next = 0;
-    std::vector<signed char> class_fit;  // -1 unknown, 0 never fits, 1 maybe
+  // One waiting user on a class's wait list.
+  struct WaitEntry {
+    std::uint32_t user = 0;
+    std::uint32_t shape = 0;  // demand id << 1 | eligible on part of the class
   };
 
-  // Waiting users of one class sharing one demand shape. Demands come from
-  // a small menu in trace workloads, so a machine serve tests Fits once per
-  // bucket instead of once per waiting user — a serve on a full machine
-  // costs O(demand shapes), not O(queue pressure).
-  struct DemandBucket {
-    std::uint32_t demand_id = 0;
-    std::vector<UserId> users;
+  // Resumable per-user scan for the interleaved loop: `next` is a machine-id
+  // position into the user's eligibility bitset, and `bound_fit` memoizes
+  // per-bound "no member can fit" verdicts, final for the phase because the
+  // bounds cannot shrink while it runs.
+  struct Cursor {
+    UserId user = 0;
+    std::size_t next = 0;
+    std::vector<signed char> bound_fit;  // -1 unknown, 0 never fits, 1 maybe
   };
+
+  static constexpr std::uint32_t kNoBound = UINT32_MAX;
+
+  OnlineScheduler(std::vector<ResourceVector> machine_capacity,
+                  OnlinePolicy policy, const MachineClassIndex* classes);
+
+  const ResourceVector& Demand(const User& u) const {
+    return demands_[u.demand_id];
+  }
 
   // True and debits resources if one task of `user` fits on `machine`.
   bool TryPlace(UserId user, MachineId machine);
 
-  // Pushes `id` onto the wait list (flat: per eligible machine) or demand
-  // bucket (collapsed: per eligible class) its eligibility covers.
+  // Appends `id` to the wait list of every class its eligibility touches.
   void RegisterWaiting(UserId id);
 
-  // Dense id for a demand vector, byte-exact (collapsed mode only).
+  // Dense id for a demand vector, byte-exact.
   std::uint32_t InternDemand(const ResourceVector& demand);
 
-  void ServeMachineCollapsed(MachineId machine,
-                             const std::function<void(UserId, MachineId)>& on_place);
+  // Whether demand shape `d` fits the free capacity of the machine being
+  // served, decided once per serve.
+  bool ShapeFits(std::uint32_t d, MachineId machine);
 
-  void PlaceUserGreedyCollapsed(UserId user,
-                                const std::function<void(MachineId)>& on_place);
-  void PlaceUsersInterleavedCollapsed(
-      std::vector<UserId> users,
-      const std::function<void(UserId, MachineId)>& on_place);
-
-  // Advances `cursor` to its next placeable machine (exact fit test, classes
-  // pruned via the upper bounds). Returns that machine, or SIZE_MAX when the
-  // cursor is exhausted for this phase.
-  std::size_t AdvanceCursor(ClassCursor& cursor);
+  // Advances `cursor` to its next placeable machine (exact fit test, bounded
+  // classes pruned). Returns that machine, or SIZE_MAX when the cursor is
+  // exhausted for this phase.
+  std::size_t AdvanceCursor(Cursor& cursor);
 
   void UpdateKey(User& u) {
     if (policy_.kind != OnlinePolicy::Kind::kFifo)
@@ -217,34 +215,42 @@ class OnlineScheduler {
   std::vector<ResourceVector> capacity_;  // pristine copy, for RestoreMachine
   std::vector<bool> down_;                // crashed machines (chaos hooks)
   std::vector<User> users_;
-  // Null in flat mode; non-null switches every per-machine sweep to the
-  // class-level structures below.
+  // Per user: 1 while it has queued tasks and is not retired. Kept apart
+  // from users_ so a serve's wait-list scan reads one byte per entry.
+  std::vector<char> queued_;
+  // The index of the two-argument constructor; `classes_` points at it or
+  // at the caller's.
+  std::unique_ptr<const MachineClassIndex> owned_classes_;
   const MachineClassIndex* classes_ = nullptr;
-  // Flat mode: per-machine wait lists of users with queued tasks. Lazily
-  // compacted by ServeMachine as users drain or retire; AddPending
-  // re-registers a drained user that gets new tasks. Empty in collapsed
-  // mode (class_buckets_ takes over).
-  std::vector<std::vector<UserId>> wait_lists_;
-  // --- collapsed-mode state ----------------------------------------------
-  // Per-class free-capacity upper bound: ub[c] >= free_[m] componentwise for
-  // every member m, maintained stale-high (credits grow it via componentwise
-  // max, debits leave it untouched) so a failed ub.Fits(demand) proves no
-  // member fits. Greedy scans that visit a whole class commit the observed
-  // max back, re-tightening the bound.
-  std::vector<ResourceVector> class_ub_;
-  // Per-class wait lists, sharded by demand shape (see DemandBucket). The
-  // same lazy-compaction and duplicate-tolerance rules as wait_lists_
-  // apply, bucket by bucket.
-  std::vector<std::vector<DemandBucket>> class_buckets_;
+  // Per-class wait lists of users with queued tasks, lazily compacted by
+  // ServeMachine as users drain or retire; AddPending re-registers a
+  // drained user that gets new tasks. A not-yet-compacted entry then yields
+  // a duplicate, which is harmless: the heap orders by (key, id), so it
+  // pops as stale.
+  std::vector<std::vector<WaitEntry>> waiting_;
+  // Per-machine slot of its class's free-capacity bound, kNoBound for a
+  // class of one. A bound is >= free_[m] componentwise for every member m,
+  // maintained stale-high (credits grow it via componentwise max, debits
+  // leave it untouched) so a failed bound Fits proves no member fits.
+  // Greedy scans that visit a whole class commit the observed max back,
+  // re-tightening the bound.
+  std::vector<std::uint32_t> bound_of_;
+  std::vector<ResourceVector> bound_;
+  std::vector<std::uint32_t> bound_members_;
   std::vector<ResourceVector> demands_;  // by demand id
   std::unordered_map<std::string, std::uint32_t> demand_ids_;
-  // Per-scan scratch for PlaceUserGreedyCollapsed, epoch-versioned so a new
-  // scan resets lazily in O(classes touched).
+  // Per-serve fit verdicts by demand id: serve epoch << 2 | ShapeFit bits.
+  // The shapes that fit now are also listed in `live_shapes_`.
+  std::uint32_t serve_epoch_ = 0;
+  std::vector<std::uint32_t> verdict_;
+  std::vector<std::uint32_t> live_shapes_;
+  // Per-scan scratch for PlaceUserGreedy by bound slot, epoch-versioned so
+  // a new scan resets lazily in O(bounds touched).
   std::uint32_t scan_epoch_ = 0;
-  std::vector<std::uint32_t> class_scan_epoch_;
-  std::vector<signed char> class_scan_fit_;
-  std::vector<std::uint32_t> class_visited_;
-  std::vector<ResourceVector> class_observed_;
+  std::vector<std::uint32_t> scan_epoch_of_;
+  std::vector<signed char> scan_fit_;
+  std::vector<std::uint32_t> scan_visited_;
+  std::vector<ResourceVector> scan_observed_;
   // Scratch heap reused across serve phases (capacity persists).
   RankHeap heap_;
   // Sum of every user's pending count (retired users included; they only

@@ -113,7 +113,7 @@ class ResourceVector {
   }
 
   // Componentwise max-update: this_r = max(this_r, other_r). Maintains the
-  // stale-high class upper bounds of the collapsed online scheduler.
+  // stale-high class upper bounds of the online scheduler.
   void MaxWith(const ResourceVector& other) {
     TSF_DCHECK(dimension() == other.dimension());
     for (std::size_t r = 0; r < values_.size(); ++r)

@@ -76,8 +76,7 @@ struct GeneratedStream {
 std::vector<MixClass> DefaultMix();
 
 // The observatory fleet: machine 2k gets <4 CPU, 8192 MB>, machine 2k+1 gets
-// <2 CPU, 4096 MB> — two equivalence classes, so both the flat and collapsed
-// DES engines are exercised.
+// <2 CPU, 4096 MB> — two equivalence classes of many machines each.
 Cluster MakeLoadCluster(std::size_t num_machines);
 
 // The same fleet as Mesos slave specs (capacity-identical to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <optional>
 #include <type_traits>
 
 #include "core/eligibility.h"
@@ -122,7 +121,8 @@ class EventQueue {
 // config mix has only a handful of distinct shapes, so the per-arrival
 // monopoly-count sweep (h_i over all machines, g_i over the eligible set)
 // collapses from O(machines) DivisibleTaskCount calls to O(distinct
-// configs) calls plus one AND-popcount per config.
+// configs) calls, plus one AND-popcount per config for each distinct
+// eligibility set.
 struct CapacityGroup {
   ResourceVector capacity;  // normalized, shared by all members
   DynamicBitset members;    // over the cluster's machines
@@ -205,53 +205,23 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
                        static_cast<std::uint32_t>(machine), generation});
   };
 
-  // Class-collapse decision: only the incremental core has a collapsed
-  // engine; the reference core is the flat executable spec. kAuto counts
-  // classes with the cheap hash-only pass (no member bitsets) so degenerate
-  // clusters — every machine distinct — skip index construction entirely.
-  bool collapsed = false;
-  if constexpr (std::is_same_v<Scheduler, OnlineScheduler>) {
-    switch (options.cluster_mode) {
-      case ClusterMode::kFlat:
-        break;
-      case ClusterMode::kCollapsed:
-        collapsed = true;
-        break;
-      case ClusterMode::kAuto:
-        collapsed =
-            2 * MachineClassIndex::CountClasses(cluster) <= cluster.num_machines();
-        break;
-    }
-  }
-  std::optional<MachineClassIndex> class_index;
-  // Classes of each capacity group, for the collapsed monopoly sweep.
-  std::vector<std::vector<std::uint32_t>> group_classes;
-  if (collapsed) {
-    class_index.emplace(cluster);
-    group_classes.resize(class_index->num_capacity_groups());
-    for (std::size_t c = 0; c < class_index->num_classes(); ++c)
-      group_classes[class_index->group_of_class(c)].push_back(
-          static_cast<std::uint32_t>(c));
-    TSF_COUNTER_ADD("des.collapsed_runs", 1);
-  }
   // Jobs repeat constraints (the paper fleet's hour has about one distinct
   // constraint per five jobs), so each distinct constraint is compiled once
   // and its set shared by every user that carries it.
-  EligibilityPool elig_pool = collapsed ? EligibilityPool(cluster, *class_index)
-                                        : EligibilityPool(cluster);
+  const MachineClassIndex class_index(cluster);
+  EligibilityPool elig_pool(cluster, class_index);
 
   std::vector<ResourceVector> capacity;
   capacity.reserve(cluster.num_machines());
   for (MachineId m = 0; m < cluster.num_machines(); ++m)
     capacity.push_back(cluster.NormalizedCapacity(m));
-  // Flat-mode monopoly sweep inputs; the collapsed sweep reads the class
-  // index's identical (order and all) capacity groups instead.
-  const std::vector<CapacityGroup> config_groups =
-      collapsed ? std::vector<CapacityGroup>{} : GroupByCapacity(capacity);
+  const std::vector<CapacityGroup> config_groups = GroupByCapacity(capacity);
+  // Eligible machines per capacity group, counted once per distinct
+  // eligibility set: row `serial` of a sets × groups table.
+  std::vector<double> group_eligible;
   Scheduler scheduler = [&] {
     if constexpr (std::is_same_v<Scheduler, OnlineScheduler>) {
-      return Scheduler(std::move(capacity), policy,
-                       collapsed ? &*class_index : nullptr);
+      return Scheduler(std::move(capacity), policy, class_index);
     } else {
       return Scheduler(std::move(capacity), policy);
     }
@@ -420,53 +390,32 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       spec.g = 0.0;
       const std::size_t compiled = elig_pool.size();
       spec.eligible_set = elig_pool.Intern(job.spec.constraint);
+      const EligibilitySet& elig = *spec.eligible_set;
       if (elig_pool.size() > compiled) {
         TSF_COUNTER_ADD("des.eligibility_memo.misses", 1);
+        TSF_CHECK_EQ(elig.serial * config_groups.size(), group_eligible.size());
+        for (const CapacityGroup& group : config_groups)
+          group_eligible.push_back(
+              static_cast<double>(elig.machines.CountAnd(group.members)));
       } else {
         TSF_COUNTER_ADD("des.eligibility_memo.hits", 1);
       }
-      const EligibilitySet& elig = *spec.eligible_set;
       TSF_CHECK(elig.machines.Any())
           << "job " << job.spec.name << " has no eligible machine";
-      if (collapsed) {
-        // Capacity is class-uniform: probing one representative per eligible
-        // class decides the same predicate as the flat per-machine scan.
-        const bool fits_somewhere =
-            elig.classes.ForEachSetUntil([&](std::size_t c) {
-              return cluster.machine(class_index->representative(c))
-                  .capacity.Fits(job.spec.demand);
-            });
-        TSF_CHECK(fits_somewhere)
-            << "job " << job.spec.name
-            << ": no eligible machine can hold one task — it would never finish";
-        // Identical group partition, order, and arithmetic as the flat
-        // sweep below: per-group eligible counts are exact integer sums of
-        // the per-class counts, so h and g come out bitwise equal.
-        for (std::size_t g = 0; g < group_classes.size(); ++g) {
-          const double tasks =
-              class_index->group_capacity(g).DivisibleTaskCount(spec.demand);
-          spec.h += class_index->group_machine_count(g) * tasks;
-          std::uint64_t eligible_members = 0;
-          for (const std::uint32_t c : group_classes[g])
-            eligible_members += elig.class_count[c];
-          if (eligible_members > 0)
-            spec.g += static_cast<double>(eligible_members) * tasks;
-        }
-      } else {
-        const bool fits_somewhere =
-            elig.machines.ForEachSetUntil([&](std::size_t m) {
-              return cluster.machine(m).capacity.Fits(job.spec.demand);
-            });
-        TSF_CHECK(fits_somewhere)
-            << "job " << job.spec.name
-            << ": no eligible machine can hold one task — it would never finish";
-        for (const CapacityGroup& group : config_groups) {
-          const double tasks = group.capacity.DivisibleTaskCount(spec.demand);
-          spec.h += group.count * tasks;
-          const auto eligible_members =
-              static_cast<double>(elig.machines.CountAnd(group.members));
-          if (eligible_members > 0.0) spec.g += eligible_members * tasks;
-        }
+      const bool fits_somewhere =
+          elig.machines.ForEachSetUntil([&](std::size_t m) {
+            return cluster.machine(m).capacity.Fits(job.spec.demand);
+          });
+      TSF_CHECK(fits_somewhere)
+          << "job " << job.spec.name
+          << ": no eligible machine can hold one task — it would never finish";
+      const double* eligible_members =
+          &group_eligible[elig.serial * config_groups.size()];
+      for (std::size_t g = 0; g < config_groups.size(); ++g) {
+        const double tasks =
+            config_groups[g].capacity.DivisibleTaskCount(spec.demand);
+        spec.h += config_groups[g].count * tasks;
+        if (eligible_members[g] > 0.0) spec.g += eligible_members[g] * tasks;
       }
       spec.pending = job.spec.num_tasks;
       JobState& js = state[j];

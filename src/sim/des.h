@@ -5,7 +5,9 @@
 // online scheduler invoked after each, exactly as Sec. V-D prescribes:
 // arrivals greedily take whatever idle resources fit; every completion
 // re-offers the freed machine to eligible users in ascending share order.
-// Tasks are never preempted.
+// Tasks are never preempted. Each distinct job constraint is compiled once
+// (core/eligibility.h), and the scheduler keeps its wait lists per class
+// of identical machines (core/cluster.h MachineClassIndex).
 #pragma once
 
 #include <cstdint>
@@ -98,16 +100,6 @@ struct SimStreamEvent {
   std::uint32_t attempt = 0;
 };
 
-// How the simulator models the machine set. kAuto collapses identical
-// machines into equivalence classes (core/cluster.h MachineClassIndex) when
-// that pays off — 2 * classes <= machines — and stays flat otherwise;
-// kFlat forces the legacy per-machine structures (the A/B baseline behind
-// bench_scale's --flat_cluster); kCollapsed forces the class-level engine.
-// The emitted placement stream is bit-identical across all three — only
-// the work spent per scheduling decision changes. The reference core
-// (SimCore::kReference) is always flat: it is the executable spec.
-enum class ClusterMode { kAuto, kFlat, kCollapsed };
-
 // Optional observability knobs; the default runs exactly as before.
 struct SimOptions {
   // Virtual-time period of the fairness timeline sampler (seconds); 0
@@ -125,15 +117,13 @@ struct SimOptions {
   // When set, every state transition is appended here (the placement stream
   // of the golden-determinism tests and the chaos invariant checkers).
   std::vector<SimStreamEvent>* stream = nullptr;
-
-  // Machine-set representation (see ClusterMode above).
-  ClusterMode cluster_mode = ClusterMode::kAuto;
 };
 
 // Which scheduling core drives the simulation. kIncremental is the
-// heap-based production core; kReference is the retained linear-scan
-// implementation (core/online/reference_scheduler.h) used by the
-// differential tests — both must emit identical placement streams.
+// heap-based production core on machine classes; kReference is the
+// retained linear-scan implementation (core/online/reference_scheduler.h),
+// the executable spec of the differential tests — both must emit
+// identical placement streams.
 enum class SimCore { kIncremental, kReference };
 
 // Runs `workload` to completion under `policy`. Jobs must be sorted by

@@ -2,6 +2,7 @@
 // component analysis.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cluster.h"
@@ -187,11 +188,12 @@ TEST(Cluster, AttributeIndexMatchesPerMachineDefinition) {
   }
 }
 
-TEST(EligibilityPool, FlatModeSharesOneHandlePerConstraint) {
+TEST(EligibilityPool, SharesOneHandlePerConstraint) {
   Cluster cluster;
   cluster.AddMachine(ResourceVector{1.0}, AttributeSet({1, 2}));
   cluster.AddMachine(ResourceVector{1.0}, AttributeSet({2}));
-  EligibilityPool pool(cluster);
+  const MachineClassIndex classes(cluster);
+  EligibilityPool pool(cluster, classes);
   const EligibilityHandle a =
       pool.Intern(Constraint::RequireAttributes(AttributeSet({2, 1})));
   const EligibilityHandle b =
@@ -211,9 +213,55 @@ TEST(EligibilityPool, FlatModeSharesOneHandlePerConstraint) {
   EXPECT_EQ(a->num_eligible, 1u);
   EXPECT_EQ(w->num_eligible, 1u);
   EXPECT_EQ(all->num_eligible, 2u);
-  // Flat sets carry no class summaries.
-  EXPECT_TRUE(a->classes.empty());
-  EXPECT_TRUE(a->class_count.empty());
+  // Serials follow the compile order.
+  EXPECT_EQ(a->serial, 0u);
+  EXPECT_EQ(w->serial, 1u);
+  EXPECT_EQ(all->serial, 2u);
+  // Two distinct machines are two classes of one; none is partly covered.
+  EXPECT_EQ(a->classes.Count(), 1u);
+  EXPECT_EQ(all->classes.Count(), 2u);
+  EXPECT_TRUE(a->partial.None());
+  EXPECT_TRUE(w->partial.None());
+}
+
+TEST(EligibilityPool, ClassSummariesMarkSplitClasses) {
+  Cluster cluster;
+  for (int m = 0; m < 3; ++m)
+    cluster.AddMachine(ResourceVector{1.0}, AttributeSet({1}));
+  cluster.AddMachine(ResourceVector{2.0}, AttributeSet({1}));
+  cluster.AddMachine(ResourceVector{1.0}, AttributeSet({1}));
+  const MachineClassIndex classes(cluster);
+  ASSERT_EQ(classes.num_classes(), 2u);
+  EXPECT_EQ(classes.class_size(0), 4u);
+  EXPECT_EQ(classes.class_size(1), 1u);
+  EXPECT_EQ(classes.class_of(4), 0u);
+  EXPECT_EQ(classes.representative(1), 3u);
+  const std::vector<std::uint32_t> members(classes.members(0).begin(),
+                                           classes.members(0).end());
+  EXPECT_EQ(members, (std::vector<std::uint32_t>{0, 1, 2, 4}));
+
+  EligibilityPool pool(cluster, classes);
+  const EligibilityHandle attr =
+      pool.Intern(Constraint::RequireAttributes(AttributeSet({1})));
+  EXPECT_TRUE(attr->ClassFull(0));
+  EXPECT_TRUE(attr->ClassFull(1));
+  // Id 9 lies past the cluster and is ignored.
+  const EligibilityHandle white = pool.Intern(Constraint::Whitelist({1, 3, 9}));
+  EXPECT_EQ(white->num_eligible, 2u);
+  EXPECT_TRUE(white->classes.Test(0));
+  EXPECT_TRUE(white->PartlyCovers(0));
+  EXPECT_TRUE(white->ClassFull(1));
+  const EligibilityHandle black =
+      pool.Intern(Constraint::Blacklist({0, 1, 2, 4}));
+  EXPECT_FALSE(black->classes.Test(0));
+  EXPECT_FALSE(black->PartlyCovers(0));
+  EXPECT_TRUE(black->ClassFull(1));
+
+  const MachineClassIndex singles = MachineClassIndex::Singletons(3);
+  EXPECT_EQ(singles.num_classes(), 3u);
+  EXPECT_EQ(singles.class_of(2), 2u);
+  EXPECT_EQ(singles.class_size(1), 1u);
+  EXPECT_EQ(singles.representative(1), 1u);
 }
 
 TEST(Compile, MonopolyCountsFig4Example) {

@@ -55,24 +55,15 @@ std::map<std::string, std::string> ComputeHashes() {
       hashes["des " + policy.name + " seed=" + std::to_string(seed)] =
           HashHex(report.stream_hash);
     }
-    // Collapsed-cluster scenarios: the uniform workloads collapse into a
-    // few multi-member equivalence classes. The forced-collapsed stream is
-    // the pinned golden; the forced-flat run must match it exactly (the
-    // bit-identity contract of the class engine, checked here on every run).
+    // Uniform scenarios: the workloads' machines fall into a few
+    // multi-member equivalence classes, which whitelists split.
     const DesScenario uniform = RandomUniformDesScenario(seed);
     for (const OnlinePolicy& policy : AllOnlinePolicies()) {
       const ScenarioReport collapsed =
-          RunDesScenario(uniform.workload, policy, uniform.plan,
-                         SimCore::kIncremental, ClusterMode::kCollapsed);
-      const ScenarioReport flat =
-          RunDesScenario(uniform.workload, policy, uniform.plan,
-                         SimCore::kIncremental, ClusterMode::kFlat);
+          RunDesScenario(uniform.workload, policy, uniform.plan);
       EXPECT_TRUE(collapsed.ok())
           << "collapsed " << policy.name << " seed " << seed << ": "
           << ToString(collapsed.violations.front());
-      EXPECT_EQ(collapsed.stream_hash, flat.stream_hash)
-          << "collapsed and flat streams diverged for " << policy.name
-          << " seed " << seed;
       hashes["des-collapsed " + policy.name + " seed=" + std::to_string(seed)] =
           HashHex(collapsed.stream_hash);
     }
@@ -158,8 +149,8 @@ TEST(GoldenStreamTest, FullStreamMatchesWithFirstDivergenceDiff) {
 // task on the machine's running list, which finishes reorder by
 // swap-removal). The random scenarios above have almost no ties, so this
 // lane is built for them: integral arrival waves and constant runtimes on
-// a cluster of four 3-machine classes, run on the flat and the collapsed
-// engine, once plain and once with task failures (some at finish times).
+// a cluster of four 3-machine classes, once plain and once with task
+// failures (some at finish times).
 constexpr const char* kTieFile = TSF_GOLDEN_DIR "/des_tie_order.txt";
 
 Workload TieHeavyWorkload() {
@@ -203,43 +194,33 @@ TEST(GoldenStreamTest, SameTimeFinishOrderMatchesGolden) {
   std::map<std::string, std::string> lanes;
   for (const bool faulted : {false, true}) {
     const FaultPlan plan = faulted ? TieFailurePlan() : FaultPlan{};
-    for (const OnlinePolicy& policy : AllOnlinePolicies())
-      for (const ClusterMode mode :
-           {ClusterMode::kFlat, ClusterMode::kCollapsed}) {
-        const ScenarioReport report = RunDesScenario(
-            workload, policy, plan, SimCore::kIncremental, mode);
-        const std::string name =
-            std::string(mode == ClusterMode::kFlat ? "flat" : "collapsed") +
-            (faulted ? "_failures " : " ") + policy.name;
-        EXPECT_TRUE(report.ok())
-            << name << ": " << ToString(report.violations.front());
-        long finishes = 0;
-        long tied = 0;
-        long failures = 0;
-        double last_finish = -1.0;
-        for (const StreamEvent& event : report.stream) {
-          if (event.kind == StreamEvent::Kind::kFail) ++failures;
-          if (event.kind != StreamEvent::Kind::kFinish) continue;
-          ++finishes;
-          if (event.time == last_finish) ++tied;
-          last_finish = event.time;
-        }
-        // The lane must keep exercising what it pins.
-        EXPECT_GT(2 * tied, finishes) << name;
-        if (faulted) {
-          EXPECT_GT(failures, 5) << name;
-        }
-        lanes[name] = HashHex(report.stream_hash) +
-                      " finishes=" + std::to_string(finishes) +
-                      " tied=" + std::to_string(tied) +
-                      " failures=" + std::to_string(failures);
+    for (const OnlinePolicy& policy : AllOnlinePolicies()) {
+      const ScenarioReport report = RunDesScenario(workload, policy, plan);
+      const std::string name =
+          std::string(faulted ? "collapsed_failures " : "collapsed ") +
+          policy.name;
+      EXPECT_TRUE(report.ok())
+          << name << ": " << ToString(report.violations.front());
+      long finishes = 0;
+      long tied = 0;
+      long failures = 0;
+      double last_finish = -1.0;
+      for (const StreamEvent& event : report.stream) {
+        if (event.kind == StreamEvent::Kind::kFail) ++failures;
+        if (event.kind != StreamEvent::Kind::kFinish) continue;
+        ++finishes;
+        if (event.time == last_finish) ++tied;
+        last_finish = event.time;
       }
-  }
-
-  // The class engine's bit-identity contract holds on ties too.
-  for (const auto& [name, lane] : lanes) {
-    if (name.rfind("flat", 0) == 0) {
-      EXPECT_EQ(lane, lanes.at("collapsed" + name.substr(4))) << name;
+      // The lane must keep exercising what it pins.
+      EXPECT_GT(2 * tied, finishes) << name;
+      if (faulted) {
+        EXPECT_GT(failures, 5) << name;
+      }
+      lanes[name] = HashHex(report.stream_hash) +
+                    " finishes=" + std::to_string(finishes) +
+                    " tied=" + std::to_string(tied) +
+                    " failures=" + std::to_string(failures);
     }
   }
 

@@ -2,9 +2,11 @@
 // greedy placement, ascending-share service, retirement.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/online/reference_scheduler.h"
 #include "core/online/scheduler.h"
 #include "util/rng.h"
@@ -171,6 +173,36 @@ TEST(OnlineScheduler, ServeStopsWhenNothingFits) {
   EXPECT_EQ(scheduler.pending(u), 2);
 }
 
+// The serve ends once no admitted demand shape fits, not at the first
+// failed fit: here the large shape stops fitting while the small one still
+// does, and the small user must be served down to the last slot.
+TEST(OnlineScheduler, ServeContinuesPastAShapeThatStoppedFitting) {
+  auto serve = [](auto& scheduler) {
+    OnlineUserSpec large;
+    large.demand = ResourceVector{0.4, 0.4};
+    large.eligible = Machines(1, {0});
+    large.h = large.g = 2;
+    large.pending = 5;
+    OnlineUserSpec small = large;
+    small.demand = ResourceVector{0.1, 0.1};
+    small.h = small.g = 10;
+    scheduler.AddUser(std::move(large));
+    scheduler.AddUser(std::move(small));
+    std::vector<UserId> served;
+    scheduler.ServeMachine(0,
+                           [&](UserId u, MachineId) { served.push_back(u); });
+    return served;
+  };
+  // FIFO ranks the large user (id 0) first for as long as it fits.
+  OnlineScheduler scheduler({ResourceVector{1.0, 1.0}}, OnlinePolicy::Fifo());
+  ReferenceScheduler reference({ResourceVector{1.0, 1.0}},
+                               OnlinePolicy::Fifo());
+  const std::vector<UserId> served = serve(scheduler);
+  EXPECT_EQ(served, (std::vector<UserId>{0, 0, 1, 1}));
+  EXPECT_EQ(served, serve(reference));
+  EXPECT_EQ(scheduler.pending(1), 3);
+}
+
 TEST(OnlineScheduler, MultipleUsersInterleaveByShare) {
   // Equal h: after each placement the served user's share rises, so service
   // alternates — the hallmark of max-min progressive service.
@@ -275,18 +307,27 @@ std::vector<OnlinePolicy> EveryPolicy() {
           OnlinePolicy::Cmmf(1, "Mem"), OnlinePolicy::Tsf()};
 }
 
-class SchedulerDifferential : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SchedulerDifferential, LockstepPlacementIdentity) {
+// With `grouped`, machine capacities come from a two-entry menu and the
+// incremental core groups them by a class index, so classes have several
+// members and random eligibility splits them; otherwise every capacity is
+// distinct and every machine its own class.
+void RunLockstep(std::uint64_t seed, bool grouped) {
   for (const OnlinePolicy& policy : EveryPolicy()) {
-    Rng rng(GetParam() * 1000003 + static_cast<std::uint64_t>(policy.kind));
+    Rng rng(seed * 1000003 + static_cast<std::uint64_t>(policy.kind));
     const auto num_machines = static_cast<std::size_t>(rng.Int(1, 8));
     std::vector<ResourceVector> capacity;
-    for (std::size_t m = 0; m < num_machines; ++m)
-      capacity.push_back(
-          ResourceVector{rng.Uniform(0.2, 1.0), rng.Uniform(0.2, 1.0)});
-
-    OnlineScheduler fast(capacity, policy);
+    Cluster cluster;
+    for (std::size_t m = 0; m < num_machines; ++m) {
+      capacity.push_back(grouped ? (rng.Chance(0.5) ? ResourceVector{0.5, 0.5}
+                                                    : ResourceVector{0.3, 0.8})
+                                 : ResourceVector{rng.Uniform(0.2, 1.0),
+                                                  rng.Uniform(0.2, 1.0)});
+      cluster.AddMachine(capacity.back());
+    }
+    std::optional<MachineClassIndex> classes;
+    if (grouped) classes.emplace(cluster);
+    OnlineScheduler fast = classes ? OnlineScheduler(capacity, policy, *classes)
+                                   : OnlineScheduler(capacity, policy);
     ReferenceScheduler ref(capacity, policy);
     // (user, machine) of every task currently running; identical for both
     // cores because every placement stream is asserted equal below.
@@ -390,7 +431,17 @@ TEST_P(SchedulerDifferential, LockstepPlacementIdentity) {
   }
 }
 
-// 25 seeds x 6 policies = 150 randomized scheduler-level combos.
+class SchedulerDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerDifferential, LockstepPlacementIdentity) {
+  RunLockstep(GetParam(), /*grouped=*/false);
+}
+
+TEST_P(SchedulerDifferential, LockstepPlacementIdentityOnClasses) {
+  RunLockstep(GetParam(), /*grouped=*/true);
+}
+
+// 25 seeds x 6 policies x 2 fleets = 300 randomized scheduler-level combos.
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerDifferential,
                          ::testing::Range<std::uint64_t>(1, 26));
 

@@ -19,16 +19,14 @@
 #             (skipped with a note if clang-format is not installed)
 #   bench     perf-regression smoke: build benchmarks, gate via
 #             tools/bench_regression.sh (skipped if no baseline committed)
-#   scale     trace-scale smoke: bench_scale 10k-machine collapsed/flat
-#             lanes gated against BENCH_scale.json
+#   scale     trace-scale smoke: bench_scale 10k-machine smoke lane
+#             gated against BENCH_scale.json
 #             (tools/bench_scale_gate.sh; skipped without a baseline)
 #   fuzz      chaos fuzz smoke: tools/fuzz_scenarios --smoke (64 seeded
 #             fault-injected scenarios, every policy, invariants armed)
-#             plus the injected-bug harness self-test, then the same smoke
-#             with the equivalence-class engine forced on
-#             (--cluster_mode=collapsed); then the guided lane: a
-#             corpus-seeded feedback-driven search (--guided --smoke
-#             --corpus_dir=tests/corpus) and its own injected-bug
+#             plus the injected-bug harness self-test; then the guided
+#             lane: a corpus-seeded feedback-driven search (--guided
+#             --smoke --corpus_dir=tests/corpus) and its own injected-bug
 #             self-test (guided must find the planted bug within the
 #             capped budget)
 #   slo       sustained-load SLO smoke: slo_report rate-1 lanes on both
@@ -121,7 +119,6 @@ run_step() {
       cmake --build --preset release --target fuzz_scenarios -j "$(nproc)" &&
       build/tools/fuzz_scenarios --smoke &&
       build/tools/fuzz_scenarios --smoke --inject_bug=leak_task_on_crash &&
-      build/tools/fuzz_scenarios --smoke --cluster_mode=collapsed &&
       build/tools/fuzz_scenarios --guided --smoke \
         --corpus_dir=tests/corpus &&
       build/tools/fuzz_scenarios --guided --smoke \

@@ -2,9 +2,8 @@
 """Nondeterminism-hazard lints for placement-affecting code.
 
 Every correctness contract in this repo — bit-identical placement streams
-between the incremental cores and the ReferenceScheduler, flat==collapsed
-ClusterMode equality, golden FNV-1a stream hashes, ddmin-shrinkable chaos
-repros — requires the scheduling pipeline to be deterministic *by
+between the incremental cores and the ReferenceScheduler, golden FNV-1a
+stream hashes, ddmin-shrinkable chaos repros — requires the scheduling pipeline to be deterministic *by
 construction*. These rules statically flag the constructs that silently break
 that (see DESIGN.md §12 for the catalog and suppression policy):
 

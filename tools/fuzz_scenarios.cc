@@ -138,7 +138,7 @@ void WriteCorpus(const std::string& dir,
 }
 
 int RunGuided(const tsf::Flags& flags, const std::string& substrate,
-              const std::string& mode_name, const std::string& repro_dir,
+              const std::string& repro_dir,
               const std::string& inject_bug, std::uint64_t first_seed) {
   const bool bug_armed = inject_bug != "none";
   SearchOptions options;
@@ -150,7 +150,6 @@ int RunGuided(const tsf::Flags& flags, const std::string& substrate,
   options.search_seed =
       static_cast<std::uint64_t>(flags.GetInt("search_seed", 1));
   options.heuristic = flags.GetString("heuristic", "score");
-  options.cluster_mode = mode_name;
   options.max_execs =
       static_cast<std::size_t>(flags.GetInt("max_execs", 256));
   if (flags.GetBool("smoke", false) && options.max_execs > 96) {
@@ -242,9 +241,6 @@ int main(int argc, char** argv) {
        {"first_seed", "first seed (default 1)"},
        {"smoke", "CI smoke lane: cap seeds at 64 and max_execs at 96"},
        {"substrate", "des | des-uniform | mesos | both (default both)"},
-       {"cluster_mode",
-        "auto | flat | collapsed — DES machine-set representation "
-        "(default auto)"},
        {"repro_dir", "directory for repro files of failing scenarios"},
        {"inject_bug",
         "none | leak_task_on_crash — plant a bug and require the harness "
@@ -268,16 +264,6 @@ int main(int argc, char** argv) {
     seeds = 64;
   }
   const std::string substrate = flags.GetString("substrate", "both");
-  const std::string mode_name = flags.GetString("cluster_mode", "auto");
-  tsf::ClusterMode cluster_mode = tsf::ClusterMode::kAuto;
-  if (mode_name == "flat") {
-    cluster_mode = tsf::ClusterMode::kFlat;
-  } else if (mode_name == "collapsed") {
-    cluster_mode = tsf::ClusterMode::kCollapsed;
-  } else {
-    TSF_CHECK(mode_name == "auto")
-        << "unknown cluster mode '" << mode_name << "'";
-  }
   const std::string repro_dir = flags.GetString("repro_dir", "");
   const std::string inject_bug = flags.GetString("inject_bug", "none");
   const bool run_des = substrate == "both" || substrate == "des" ||
@@ -288,8 +274,7 @@ int main(int argc, char** argv) {
       << "unknown injected bug '" << inject_bug << "'";
 
   if (flags.GetBool("guided", false))
-    return RunGuided(flags, substrate, mode_name, repro_dir, inject_bug,
-                     first_seed);
+    return RunGuided(flags, substrate, repro_dir, inject_bug, first_seed);
 
   const bool bug_armed = inject_bug != "none";
   if (bug_armed)
@@ -302,9 +287,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
     if (run_des && !bug_armed) {  // the injectable bug lives in the master
       // Two DES generators: the legacy all-distinct clusters and the
-      // class-collapsible uniform clusters, where the equivalence-class
-      // scheduler engages (under --cluster_mode=collapsed it is forced on
-      // both).
+      // uniform clusters, whose machines share equivalence classes.
       const struct {
         const char* substrate;
         tsf::chaos::DesScenario scenario;
@@ -318,8 +301,7 @@ int main(int argc, char** argv) {
              tsf::chaos::AllOnlinePolicies()) {
           ++scenarios;
           const ScenarioReport report = tsf::chaos::RunDesScenario(
-              lane.scenario.workload, policy, lane.scenario.plan,
-              tsf::SimCore::kIncremental, cluster_mode);
+              lane.scenario.workload, policy, lane.scenario.plan);
           if (report.ok()) continue;
           std::printf("FAIL %s seed=%llu policy=%s: %s\n", lane.substrate,
                       static_cast<unsigned long long>(seed),
@@ -329,13 +311,11 @@ int main(int argc, char** argv) {
           repro.substrate = lane.substrate;
           repro.scenario_seed = seed;
           repro.policy = policy.name;
-          repro.cluster_mode = mode_name;
           failures.push_back(Shrink(
               repro, lane.scenario.plan,
               [&](const FaultPlan& candidate) {
-                return !tsf::chaos::RunDesScenario(
-                            lane.scenario.workload, policy, candidate,
-                            tsf::SimCore::kIncremental, cluster_mode)
+                return !tsf::chaos::RunDesScenario(lane.scenario.workload,
+                                                   policy, candidate)
                             .ok();
               },
               tsf::chaos::ToString(report.violations.front())));

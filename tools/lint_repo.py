@@ -307,9 +307,9 @@ SELF_TEST_CASES = [
      {"src/core/eligibility.cc":  # an unchecked Intern must be flagged
       "EligibilityHandle EligibilityPool::Intern(const Constraint& c) {\n"
       "  return Compile(c);\n}\n"}),
-    (rule_telemetry_macros,  # collapsed-scheduler hot path: raw telemetry
+    (rule_telemetry_macros,  # scheduler hot path: raw telemetry
      {"src/core/online/scheduler.cc":  # objects (not the TSF_* macros) leak
-      "void OnlineScheduler::ServeMachineCollapsed() {\n"  # overhead into
+      "void OnlineScheduler::ServeMachine() {\n"  # overhead into
       "  telemetry::Registry::Get();\n}\n"}),  # every serve
     (rule_entry_point_checks,  # the load driver is an entry point too: an
      {"src/load/driver.cc":    # unchecked stream config must be flagged
@@ -370,9 +370,9 @@ SELF_TEST_CLEAN = [
       "EligibilityHandle EligibilityPool::Intern(const Constraint& c) {\n"
       "  TSF_CHECK_GT(cluster_->num_machines(), 0u);\n"
       "  return Compile(c);\n}\n"}),
-    (rule_telemetry_macros,  # macro-only instrumentation in the collapsed
+    (rule_telemetry_macros,  # macro-only instrumentation in the scheduler's
      {"src/core/online/scheduler.cc":  # serve/greedy hot paths is fine
-      "void OnlineScheduler::ServeMachineCollapsed() {\n"
+      "void OnlineScheduler::ServeMachine() {\n"
       '  TSF_COUNTER_ADD("scheduler.greedy.class_skips", 1);\n'
       '  TSF_HISTOGRAM_RECORD("scheduler.serve_machine.wait_list", 1);\n}\n'}),
     (rule_include_cycles,
