@@ -1,42 +1,19 @@
 // Engineering microbenchmarks (google-benchmark): the cost of the solver
-// primitives behind the reproduction — LP solves, offline progressive
-// filling, the online scheduler's serve loop, and a full trace-driven
-// simulation step. Not a paper artifact; documents the laptop-scale budget
-// every harness in this repo runs within.
+// primitives behind the reproduction — offline progressive filling and its
+// warm FREEZE probe, the online scheduler's serve loop, and a full
+// trace-driven simulation step. Not a paper artifact; documents the
+// laptop-scale budget every harness in this repo runs within.
 #include <benchmark/benchmark.h>
 
 #include "core/offline/filling_engine.h"
 #include "core/offline/policies.h"
 #include "core/online/scheduler.h"
-#include "lp/simplex.h"
 #include "sim/des.h"
 #include "trace/google.h"
 #include "util/rng.h"
 
 namespace tsf {
 namespace {
-
-// --- LP: dense random feasible programs of growing size. ---
-void BM_SimplexSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  lp::Problem problem(n);
-  std::vector<double> objective(n);
-  for (auto& c : objective) c = rng.Uniform(0.1, 1.0);
-  problem.SetObjective(objective);
-  for (std::size_t row = 0; row < n; ++row) {
-    std::vector<double> coefficients(n);
-    for (auto& a : coefficients) a = rng.Uniform(0.0, 1.0);
-    problem.AddConstraint(std::move(coefficients), lp::Relation::kLessEqual,
-                          rng.Uniform(1.0, 5.0));
-  }
-  for (auto _ : state) {
-    const lp::Solution solution = problem.Solve();
-    benchmark::DoNotOptimize(solution.objective);
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimplexSolve)->RangeMultiplier(2)->Range(8, 128)->Complexity();
 
 // --- Offline progressive filling on random constrained instances. ---
 SharingProblem RandomSharing(std::size_t users, std::size_t machines,
@@ -82,7 +59,7 @@ void BM_FreezeProbe(benchmark::State& state) {
   const CompiledProblem problem = Compile(RandomSharing(16, 16, 11));
   const EdgeLayout layout(problem);
   FillingEngine engine(
-      MakeFillingSpec(problem, layout, TsfDenominator(problem)), {});
+      MakeFillingSpec(problem, layout, TsfDenominator(problem)));
   double level = 0.0;
   std::vector<double> x;
   TSF_CHECK(engine.SolveRound(&level, &x));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
 #include "telemetry/telemetry.h"
 #include "util/check.h"
@@ -16,22 +15,8 @@ constexpr double kShareEps = 1e-7;
 
 }  // namespace
 
-ThreadPool* SharedFillingPool() {
-  // Created on first use and intentionally never destroyed: worker threads
-  // must outlive every caller, and teardown order at exit is unknowable.
-  static ThreadPool* pool = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw <= 1) return static_cast<ThreadPool*>(nullptr);
-    return new ThreadPool(hw);
-  }();
-  return pool;
-}
-
-FillingEngine::FillingEngine(const FillingSpec& spec,
-                             const FillingOptions& options)
-    : frozen_(spec.user_rows.size(), false),
-      options_(options),
-      state_(BuildState(spec)) {}
+FillingEngine::FillingEngine(const FillingSpec& spec)
+    : frozen_(spec.user_rows.size(), false), state_(BuildState(spec)) {}
 
 lp::SimplexState FillingEngine::BuildState(const FillingSpec& spec) {
   TSF_CHECK_GT(spec.num_structural, 0u);
@@ -72,12 +57,7 @@ double FillingEngine::SaturationThreshold() const {
 
 bool FillingEngine::SolveState(lp::SimplexState& state, double* objective,
                                std::vector<double>* x) const {
-  // Executable-spec mode solves the exact same mutated program with the
-  // dense tableau path every time.
-  lp::Solution dense;
-  if (options_.use_dense_engine) dense = state.form().ToDenseProblem().Solve();
-  const lp::Solution& solution =
-      options_.use_dense_engine ? dense : state.Solve();
+  const lp::Solution& solution = state.Solve();
   if (solution.status != lp::SolveStatus::kOptimal &&
       solution.status != lp::SolveStatus::kCutoff)
     return false;
@@ -117,8 +97,7 @@ std::vector<std::size_t> FillingEngine::FreezeSaturatedUsers() {
   ProbeMaxShares(active, /*stop_at_threshold=*/true, &max_share);
 
   // An active user saturates if, holding the others at the round level,
-  // its share cannot rise above it. The decisions walk users in index
-  // order, so parallel probes decide exactly as serial ones.
+  // its share cannot rise above it.
   const double tolerance = kShareEps * std::max(1.0, level_);
   std::vector<std::size_t> saturated;
   for (std::size_t j = 0; j < n; ++j)
@@ -155,48 +134,26 @@ void FillingEngine::ProbeMaxShares(const std::vector<bool>& probe,
   TSF_TRACE_SCOPE("filling", "ProbeMaxShares");
   max_share->assign(n, 0.0);
 
-  std::vector<std::size_t> targets;
-  for (std::size_t j = 0; j < n; ++j)
-    if (probe[j]) targets.push_back(j);
-
-  ThreadPool* pool = options_.serial_probes ? nullptr : options_.pool;
-  const bool parallel =
-      pool != nullptr && pool->thread_count() > 1 && targets.size() > 1;
-  const std::size_t blocks =
-      parallel ? std::min(pool->thread_count(), targets.size()) : 1;
-  while (scratch_.size() < blocks) scratch_.push_back(state_);
-
-  // Block b probes targets b, b + blocks, ... on scratch state b. A probe
-  // is a pure function of the solved round state and its own user, writing
-  // only its own slot: parallel execution is bit-identical to the serial
-  // loop by construction.
   const double cutoff = stop_at_threshold
                             ? SaturationThreshold()
                             : std::numeric_limits<double>::infinity();
-  const auto run_block = [&](std::size_t block) {
-    lp::SimplexState& probe_state = scratch_[block];
-    for (std::size_t index = block; index < targets.size(); index += blocks) {
-      const std::size_t j = targets[index];
-      TSF_TRACE_SCOPE("filling", "FreezeProbe");
-      TSF_COUNTER_ADD("filling.probes", 1);
-      probe_state = state_;
-      probe_state.SetObjectiveCoefficient(level_var_, 0.0);
-      probe_state.SetObjectiveCoefficient(num_structural_ + j, 1.0);
-      probe_state.SetObjectiveCutoff(cutoff);
-      [[maybe_unused]] const std::uint64_t cold_before =
-          probe_state.stats().cold_solves;
-      double share = 0.0;
-      TSF_CHECK(SolveState(probe_state, &share, nullptr))
-          << "freeze-probe LP infeasible — floors exceed capacity?";
-      TSF_COUNTER_ADD("filling.probe_cold_solves",
-                      probe_state.stats().cold_solves - cold_before);
-      (*max_share)[j] = share;
-    }
-  };
-  if (parallel) {
-    pool->ParallelFor(blocks, run_block);
-  } else {
-    run_block(0);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!probe[j]) continue;
+    TSF_TRACE_SCOPE("filling", "FreezeProbe");
+    TSF_COUNTER_ADD("filling.probes", 1);
+    scratch_ = state_;  // copy-assigns once the first probe has made it
+    lp::SimplexState& probe_state = *scratch_;
+    probe_state.SetObjectiveCoefficient(level_var_, 0.0);
+    probe_state.SetObjectiveCoefficient(num_structural_ + j, 1.0);
+    probe_state.SetObjectiveCutoff(cutoff);
+    [[maybe_unused]] const std::uint64_t cold_before =
+        probe_state.stats().cold_solves;
+    double share = 0.0;
+    TSF_CHECK(SolveState(probe_state, &share, nullptr))
+        << "freeze-probe LP infeasible — floors exceed capacity?";
+    TSF_COUNTER_ADD("filling.probe_cold_solves",
+                    probe_state.stats().cold_solves - cold_before);
+    (*max_share)[j] = share;
   }
 }
 

@@ -41,44 +41,19 @@
 // re-probed without the cutoff and the one with the smallest exact gap is
 // frozen.
 //
-// Probes are pure functions of (solved round state, probed user): each runs
-// on a scratch copy and writes its own output slot, so fanning them out over
-// ThreadPool::ParallelFor yields values bit-identical to the serial loop.
-// Each worker's block of probes reuses one scratch state, so a probe copies
-// the round state into existing storage instead of allocating a new one.
+// Probes run one after another on a single scratch state: the first probe
+// copies the round state into it, and each later one copy-assigns into the
+// same storage instead of allocating a new state.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "lp/revised.h"
-#include "util/thread_pool.h"
 
 namespace tsf {
-
-// Tuning knobs threaded from the public solver entry points down to the
-// engine. The defaults reproduce the serial reference behavior.
-struct FillingOptions {
-  // Pool for fanning FREEZE probes out. nullptr means serial probes. Do NOT
-  // pass a pool whose workers may themselves be running the caller:
-  // ParallelFor waits on the pool and would deadlock (see thread_pool.h);
-  // top-level callers can use SharedFillingPool().
-  ThreadPool* pool = nullptr;
-
-  // Force serial probes even when `pool` is set (used by the determinism
-  // tests to produce the reference ordering).
-  bool serial_probes = false;
-
-  // Solve every LP with the dense tableau solver instead of the warm
-  // revised path — the executable-spec mode differential tests diff against.
-  bool use_dense_engine = false;
-};
-
-// Lazily-created process-wide pool for probe fan-out; nullptr on single-core
-// hosts where a pool would only add synchronization overhead. Only safe from
-// threads that are not themselves SharedFillingPool() workers.
-ThreadPool* SharedFillingPool();
 
 // One coupling row of a user: `terms · x >= share_coeff * u_i`. A
 // single-class user has one row; a multi-class user has one row per class
@@ -103,7 +78,7 @@ struct FillingSpec {
 class FillingEngine {
  public:
   // share_coeff must be strictly positive for every coupling row.
-  FillingEngine(const FillingSpec& spec, const FillingOptions& options);
+  explicit FillingEngine(const FillingSpec& spec);
 
   std::size_t num_users() const { return frozen_.size(); }
 
@@ -128,8 +103,7 @@ class FillingEngine {
   // basis above the saturation threshold and reports that basis's share, a
   // lower bound on the maximum that still decides saturation. Call only
   // after a successful SolveRound. Results land in (*max_share)[j];
-  // non-probed slots are 0. Parallel and serial execution produce
-  // bit-identical values.
+  // non-probed slots are 0.
   void ProbeMaxShares(const std::vector<bool>& probe, bool stop_at_threshold,
                       std::vector<double>* max_share);
 
@@ -147,9 +121,8 @@ class FillingEngine {
   std::size_t level_row_ = 0;                // s >= L
   std::vector<bool> frozen_;
   double level_ = 0.0;                       // of the last solved round
-  FillingOptions options_;
   lp::SimplexState state_;
-  std::vector<lp::SimplexState> scratch_;    // one per probe block
+  std::optional<lp::SimplexState> scratch_;  // made by the first probe
 };
 
 }  // namespace tsf

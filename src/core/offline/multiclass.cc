@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/offline/filling_engine.h"
-#include "lp/simplex.h"
+#include "lp/revised.h"
 #include "util/check.h"
 
 namespace tsf {
@@ -113,19 +113,23 @@ double MultiClassAllocation::ClassTasks(UserId i, std::size_t c) const {
 
 double MultiClassMonopolyTasks(const CompiledMultiClass& problem, UserId i) {
   // Monopoly: constraints removed (every machine usable), mix enforced.
-  // Variables: n_cm for this user's classes over all machines, plus n.
+  // Variables: n_cm for this user's classes over all machines, plus n. The
+  // mix rows read sum_m n_cm >= mix_c * n rather than =: demands are
+  // nonnegative, so dropping a class's surplus tasks never breaks a
+  // capacity row and the optimal n is the equality form's. With these rows
+  // the all-slack basis is feasible and the solve skips phase 1.
   const std::size_t classes = problem.mix[i].size();
   const std::size_t machines = problem.num_machines;
-  lp::Problem lp(classes * machines + 1);
+  lp::StandardForm form(classes * machines + 1);
   const std::size_t total_var = classes * machines;
-  lp.SetObjectiveCoefficient(total_var, 1.0);
+  form.SetObjectiveCoefficient(total_var, 1.0);
   auto var = [machines](std::size_t c, MachineId m) { return c * machines + m; };
 
   for (std::size_t c = 0; c < classes; ++c) {
     std::vector<std::pair<std::size_t, double>> terms;
     for (MachineId m = 0; m < machines; ++m) terms.emplace_back(var(c, m), 1.0);
     terms.emplace_back(total_var, -problem.mix[i][c]);
-    lp.AddConstraintSparse(terms, lp::Relation::kEqual, 0.0);
+    form.AddRow(terms, lp::Relation::kGreaterEqual, 0.0);
   }
   for (MachineId m = 0; m < machines; ++m) {
     for (std::size_t r = 0; r < problem.num_resources; ++r) {
@@ -135,11 +139,13 @@ double MultiClassMonopolyTasks(const CompiledMultiClass& problem, UserId i) {
         if (d > 0.0) terms.emplace_back(var(c, m), d);
       }
       if (!terms.empty())
-        lp.AddConstraintSparse(terms, lp::Relation::kLessEqual,
-                               problem.machine_capacity[m][r]);
+        form.AddRow(terms, lp::Relation::kLessEqual,
+                    problem.machine_capacity[m][r]);
     }
   }
-  const lp::Solution solution = lp.Solve();
+  form.Finalize();
+  lp::SimplexState state(std::move(form));
+  const lp::Solution& solution = state.Solve();
   TSF_CHECK(solution.optimal()) << "monopoly LP failed";
   return solution.objective;
 }
@@ -188,10 +194,9 @@ CompiledMultiClass CompileMultiClass(const MultiClassProblem& problem) {
   return compiled;
 }
 
-MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
-                                    const FillingOptions& options) {
+MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem) {
   const TripleLayout layout(problem);
-  FillingEngine engine(MakeSpec(problem, layout), options);
+  FillingEngine engine(MakeSpec(problem, layout));
   const std::size_t n = problem.num_users;
 
   MultiClassResult result;

@@ -74,10 +74,7 @@ struct MultiClassResult {
 };
 
 // Max-min fairness over multi-class task shares (progressive filling).
-// `options` tunes the LP engine (probe parallelism, dense executable-spec
-// mode); the result is identical for every setting.
-MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
-                                    const FillingOptions& options = {});
+MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem);
 
 // The mix-enforced monopoly total for one user (exposed for tests).
 double MultiClassMonopolyTasks(const CompiledMultiClass& problem, UserId i);

@@ -58,28 +58,23 @@ std::vector<double> CmmfDenominator(const CompiledProblem& problem,
   return denominator;
 }
 
-FillingResult SolveTsf(const CompiledProblem& problem,
-                       const FillingOptions& options) {
-  return ProgressiveFilling(problem, TsfDenominator(problem), options);
+FillingResult SolveTsf(const CompiledProblem& problem) {
+  return ProgressiveFilling(problem, TsfDenominator(problem));
 }
 
-FillingResult SolveCdrf(const CompiledProblem& problem,
-                        const FillingOptions& options) {
-  return ProgressiveFilling(problem, CdrfDenominator(problem), options);
+FillingResult SolveCdrf(const CompiledProblem& problem) {
+  return ProgressiveFilling(problem, CdrfDenominator(problem));
 }
 
-FillingResult SolveDrfh(const CompiledProblem& problem,
-                        const FillingOptions& options) {
-  return ProgressiveFilling(problem, DrfhDenominator(problem), options);
+FillingResult SolveDrfh(const CompiledProblem& problem) {
+  return ProgressiveFilling(problem, DrfhDenominator(problem));
 }
 
-FillingResult SolveCmmf(const CompiledProblem& problem, std::size_t resource,
-                        const FillingOptions& options) {
-  return ProgressiveFilling(problem, CmmfDenominator(problem, resource), options);
+FillingResult SolveCmmf(const CompiledProblem& problem, std::size_t resource) {
+  return ProgressiveFilling(problem, CmmfDenominator(problem, resource));
 }
 
-FillingResult SolvePerMachineDrf(const CompiledProblem& problem,
-                                 const FillingOptions& options) {
+FillingResult SolvePerMachineDrf(const CompiledProblem& problem) {
   FillingResult result;
   result.allocation = Allocation(problem.num_users, problem.num_machines);
   result.freeze_round.assign(problem.num_users, 1);
@@ -127,7 +122,7 @@ FillingResult SolvePerMachineDrf(const CompiledProblem& problem,
       denominator[k] = sub.weight[k] / dominant;
     }
 
-    const FillingResult sub_result = ProgressiveFilling(sub, denominator, options);
+    const FillingResult sub_result = ProgressiveFilling(sub, denominator);
     for (std::size_t k = 0; k < users.size(); ++k)
       result.allocation.add_tasks(users[k], m, sub_result.allocation.tasks(k, 0));
   }
@@ -142,18 +137,18 @@ FillingResult SolvePerMachineDrf(const CompiledProblem& problem,
 }
 
 FillingResult SolveOffline(OfflinePolicy policy, const CompiledProblem& problem,
-                           std::size_t resource, const FillingOptions& options) {
+                           std::size_t resource) {
   switch (policy) {
     case OfflinePolicy::kTsf:
-      return SolveTsf(problem, options);
+      return SolveTsf(problem);
     case OfflinePolicy::kCdrf:
-      return SolveCdrf(problem, options);
+      return SolveCdrf(problem);
     case OfflinePolicy::kDrfh:
-      return SolveDrfh(problem, options);
+      return SolveDrfh(problem);
     case OfflinePolicy::kPerMachineDrf:
-      return SolvePerMachineDrf(problem, options);
+      return SolvePerMachineDrf(problem);
     case OfflinePolicy::kCmmf:
-      return SolveCmmf(problem, resource, options);
+      return SolveCmmf(problem, resource);
   }
   TSF_CHECK(false) << "unreachable";
 }

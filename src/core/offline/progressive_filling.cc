@@ -76,7 +76,7 @@ double MaxShareWithFloors(const CompiledProblem& problem,
   TSF_CHECK_EQ(denominator.size(), problem.num_users);
   TSF_CHECK_EQ(floor_tasks.size(), problem.num_users);
 
-  FillingEngine engine(MakeFillingSpec(problem, layout, denominator), {});
+  FillingEngine engine(MakeFillingSpec(problem, layout, denominator));
   for (UserId i = 0; i < problem.num_users; ++i)
     if (i != j) engine.FreezeUser(i, floor_tasks[i] / denominator[i]);
   double share = 0.0;
@@ -86,13 +86,12 @@ double MaxShareWithFloors(const CompiledProblem& problem,
 }
 
 FillingResult ProgressiveFilling(const CompiledProblem& problem,
-                                 const std::vector<double>& denominator,
-                                 const FillingOptions& options) {
+                                 const std::vector<double>& denominator) {
   TSF_CHECK_EQ(denominator.size(), problem.num_users);
   for (const double d : denominator) TSF_CHECK_GT(d, 0.0);
 
   const EdgeLayout layout(problem);
-  FillingEngine engine(MakeFillingSpec(problem, layout, denominator), options);
+  FillingEngine engine(MakeFillingSpec(problem, layout, denominator));
   const std::size_t n = problem.num_users;
 
   FillingResult result;
@@ -114,8 +113,7 @@ FillingResult ProgressiveFilling(const CompiledProblem& problem,
     result.allocation = AllocationFromPrimal(problem, layout, x);
 
     // FREEZE step: the engine probes every active user off the solved round
-    // LP (in parallel if its options allow) and freezes the saturated ones
-    // at the round level.
+    // LP and freezes the saturated ones at the round level.
     for (const std::size_t j : engine.FreezeSaturatedUsers()) {
       result.freeze_round[j] = round_number;
       --num_active;

@@ -19,9 +19,7 @@
 // All round and probe LPs of one run share a single warm-started revised
 // simplex state (see core/offline/filling_engine.h): the constraint matrix
 // is built once, a freeze keeps the basis, and every FREEZE probe branches
-// off the solved round LP by an objective change — independent probes can
-// fan out over a thread pool with freeze decisions bit-identical to the
-// serial loop.
+// off the solved round LP by an objective change.
 #pragma once
 
 #include <cstddef>
@@ -69,11 +67,9 @@ FillingSpec MakeFillingSpec(const CompiledProblem& problem,
 
 // Runs Algorithm 1. `denominator[i]` must be strictly positive. The returned
 // allocation is feasible (capacity + eligibility) and max-min fair w.r.t.
-// n_i / denominator_i. `options` tunes the LP engine (probe parallelism,
-// dense executable-spec mode); the result is identical for every setting.
+// n_i / denominator_i.
 FillingResult ProgressiveFilling(const CompiledProblem& problem,
-                                 const std::vector<double>& denominator,
-                                 const FillingOptions& options = {});
+                                 const std::vector<double>& denominator);
 
 // Maximizes user j's share n_j / denominator_j while every other user i is
 // guaranteed at least `floor_tasks[i]` tasks (placements may reshuffle).

@@ -27,8 +27,7 @@ CompiledProblem WithWeights(const CompiledProblem& problem,
 }
 
 FillingResult SolvePerComponent(const CompiledProblem& problem,
-                                OfflinePolicy policy,
-                                const FillingOptions& options) {
+                                OfflinePolicy policy) {
   const ConstraintComponents components = FindComponents(problem);
 
   FillingResult result;
@@ -72,7 +71,7 @@ FillingResult SolvePerComponent(const CompiledProblem& problem,
       sub.g.push_back(problem.g[i]);
     }
 
-    const FillingResult sub_result = SolveOffline(policy, sub, 0, options);
+    const FillingResult sub_result = SolveOffline(policy, sub, 0);
     for (std::size_t iu = 0; iu < users.size(); ++iu) {
       for (std::size_t im = 0; im < machines.size(); ++im)
         result.allocation.set_tasks(users[iu], machines[im],

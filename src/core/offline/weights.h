@@ -33,7 +33,6 @@ CompiledProblem WithWeights(const CompiledProblem& problem,
 // against the entire datacenter even when its component is smaller), and
 // stitches the result.
 FillingResult SolvePerComponent(const CompiledProblem& problem,
-                                OfflinePolicy policy,
-                                const FillingOptions& options = {});
+                                OfflinePolicy policy);
 
 }  // namespace tsf

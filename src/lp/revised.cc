@@ -10,11 +10,13 @@
 namespace tsf::lp {
 namespace {
 
-// Pivot / reduced-cost tolerance (matches the dense solver).
+// Pivot / reduced-cost tolerance. Progressive filling's coefficients are
+// ratios of task counts and capacities, all O(1) after normalization, so a
+// fixed absolute tolerance is appropriate.
 constexpr double kEps = 1e-9;
 
 // Feasibility tolerance for warm-start certification and for the phase-1
-// artificial residual (matches the dense solver's infeasibility cut-off).
+// artificial residual.
 constexpr double kFeasEps = 1e-7;
 
 // A Sherman-Morrison denominator below this means the rank-one update would
@@ -31,18 +33,26 @@ constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 
+std::string ToString(SolveStatus status) {
+  switch (status) {
+    case SolveStatus::kOptimal:
+      return "optimal";
+    case SolveStatus::kInfeasible:
+      return "infeasible";
+    case SolveStatus::kUnbounded:
+      return "unbounded";
+    case SolveStatus::kCutoff:
+      return "cutoff";
+  }
+  return "?";
+}
+
 SimplexState::SimplexState(StandardForm form) : form_(std::move(form)) {
   TSF_CHECK(form_.finalized()) << "SimplexState needs a finalized form";
 }
 
 void SimplexState::SetRhs(std::size_t row, double rhs) {
   form_.SetRhs(row, rhs);
-  dirty_ = true;
-  solution_valid_ = false;
-}
-
-void SimplexState::RelaxEquality(std::size_t row, double rhs) {
-  form_.RelaxEquality(row, rhs);
   dirty_ = true;
   solution_valid_ = false;
 }
@@ -227,9 +237,9 @@ SimplexState::IterateResult SimplexState::Iterate(bool phase1) {
   const std::size_t m = form_.num_rows();
   const std::size_t n = form_.num_variables();
   const std::size_t width = n + m;  // structural + slack column ids
-  // Same anti-cycling scheme as the dense solver: Dantzig until the
-  // threshold, then Bland's rule, plus a generous hard cap that routes
-  // pathological numerics to the dense fallback instead of spinning.
+  // Dantzig until the threshold, then Bland's rule, which cannot cycle,
+  // plus a generous hard cap so pathological numerics stall instead of
+  // spinning (a warm solve then goes cold; a cold one fails a check).
   const std::size_t bland_threshold = 50 * (m + width);
   const std::size_t max_iterations = 200 * (m + width) + 1000;
 
@@ -419,10 +429,7 @@ bool SimplexState::WarmSolve() {
   TSF_COUNTER_ADD("lp.warm_hits", 1);
   TSF_COUNTER_ADD("lp.phase1_skipped", 1);
   const IterateResult result = Iterate(/*phase1=*/false);
-  if (result == IterateResult::kStalled) {
-    DenseFallback();
-    return true;
-  }
+  if (result == IterateResult::kStalled) return false;
   if (result == IterateResult::kUnbounded) {
     solution_ = Solution{SolveStatus::kUnbounded, 0.0, {}};
     state_valid_ = false;
@@ -476,10 +483,9 @@ void SimplexState::ColdSolve() {
     const IterateResult phase1 = Iterate(/*phase1=*/true);
     TSF_CHECK(phase1 != IterateResult::kUnbounded)
         << "phase 1 cannot be unbounded";
-    if (phase1 == IterateResult::kStalled) {
-      DenseFallback();
-      return;
-    }
+    TSF_CHECK(phase1 != IterateResult::kStalled)
+        << "cold solve stalled in phase 1 (" << m << " rows, " << n
+        << " columns)";
     double residual = 0.0;
     for (std::size_t r = 0; r < m; ++r)
       if (IsArtificial(basis_[r])) residual += std::max(xb_[r], 0.0);
@@ -515,32 +521,23 @@ void SimplexState::ColdSolve() {
   }
 
   const IterateResult phase2 = Iterate(/*phase1=*/false);
-  if (phase2 == IterateResult::kStalled) {
-    DenseFallback();
-    return;
-  }
+  TSF_CHECK(phase2 != IterateResult::kStalled)
+      << "cold solve stalled in phase 2 (" << m << " rows, " << n
+      << " columns)";
   if (phase2 == IterateResult::kUnbounded) {
     solution_ = Solution{SolveStatus::kUnbounded, 0.0, {}};
     state_valid_ = false;
     return;
   }
-  if (!BasicValuesFeasible()) {
-    // Degenerate pivoting drifted a basic value out of tolerance: rebuild
-    // with the dense executable spec rather than report an uncertified
-    // optimum.
-    DenseFallback();
-    return;
-  }
+  // Degenerate pivoting that drifts a basic value out of tolerance needs a
+  // Harris ratio test or periodic refactorization, not an uncertified
+  // optimum.
+  TSF_CHECK(BasicValuesFeasible())
+      << "cold solve ended in phase 2 on an infeasible basis (" << m
+      << " rows, " << n << " columns)";
   ExtractSolution(phase2 == IterateResult::kCutoff ? SolveStatus::kCutoff
                                                    : SolveStatus::kOptimal);
   state_valid_ = true;
-}
-
-void SimplexState::DenseFallback() {
-  ++stats_.dense_fallbacks;
-  TSF_COUNTER_ADD("lp.dense_fallbacks", 1);
-  solution_ = form_.ToDenseProblem().Solve();
-  state_valid_ = false;
 }
 
 void SimplexState::ExtractSolution(SolveStatus status) {

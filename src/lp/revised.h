@@ -1,12 +1,18 @@
 // Revised simplex with explicit basis state and warm-start re-solve.
 //
-// SimplexState pairs a StandardForm with the factorized state of its last
-// solve: the basis (which column is basic in each row), a dense inverse of
-// the basis matrix, and the basic variable values. Re-solving after a
-// shape-preserving mutation is then incremental:
+// This is the LP solver behind the paper's offline progressive-filling
+// algorithm (Algorithm 1): every round and every FREEZE probe solves
 //
-//   * rhs change / equality relaxation — the basis matrix is untouched; the
-//     basic values are refreshed with one B^-1 b product (O(m^2));
+//   maximize    c · x
+//   subject to  A x {<=, =, >=} b,   x >= 0
+//
+// over one StandardForm (standard_form.h). SimplexState pairs that form with
+// the factorized state of its last solve: the basis (which column is basic
+// in each row), a dense inverse of the basis matrix, and the basic variable
+// values. Re-solving after a shape-preserving mutation is then incremental:
+//
+//   * rhs change — the basis matrix is untouched; the basic values are
+//     refreshed with one B^-1 b product (O(m^2));
 //   * objective change — B^-1 and the basic values are untouched; phase 2
 //     re-prices from the previous optimum;
 //   * coefficient change in a nonbasic column — free: B^-1 is unaffected;
@@ -24,12 +30,13 @@
 // change that moves the basic solution — and then the warm path gives up:
 // anything it cannot certify (a near-singular rank-one update, an
 // infeasible warm basis, a banned column stuck basic at a nonzero level,
-// iteration blowup) falls back first to a from-scratch two-phase revised
-// solve, and as a last resort to the dense tableau solver in simplex.h,
-// which doubles as the executable spec in the differential tests. A cold
-// solve starts from the all-slack basis and runs phase 1 only when some row
-// cannot hold its slack at a nonnegative level (an equality, or a >= row
-// with a positive rhs).
+// iteration blowup) falls back to a from-scratch two-phase revised solve.
+// A cold solve starts from the all-slack basis and runs phase 1 only when
+// some row cannot hold its slack at a nonnegative level (an equality, or a
+// >= row with a positive rhs). Pivoting uses Dantzig's rule with a Bland's
+// rule fallback after an iteration threshold. A cold solve that still
+// stalls, or ends on a basis it cannot certify, is a check failure: there
+// is no second solver to hand it to.
 //
 // An objective cutoff (SetObjectiveCutoff) stops phase 2 at the first
 // feasible basis whose objective exceeds it; Solve then reports kCutoff. A
@@ -38,12 +45,13 @@
 //
 // Telemetry (all macro-gated, see telemetry/telemetry.h): `lp.iterations`,
 // `lp.warm_hits`, `lp.phase1_skipped`, `lp.cold_solves`,
-// `lp.warm_fallbacks`, `lp.dense_fallbacks`.
+// `lp.warm_fallbacks`.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,12 +59,25 @@
 
 namespace tsf::lp {
 
+// kCutoff: phase 2 stopped at a feasible basis whose objective exceeds the
+// objective cutoff, so the optimum is at least that large.
+enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kCutoff };
+
+std::string ToString(SolveStatus status);
+
+struct Solution {
+  SolveStatus status = SolveStatus::kInfeasible;
+  double objective = 0.0;      // valid iff status is kOptimal or kCutoff
+  std::vector<double> x;       // primal values, one per variable
+
+  bool optimal() const { return status == SolveStatus::kOptimal; }
+};
+
 // Counters for one SimplexState (process-wide totals go to telemetry).
 struct ResolveStats {
   std::uint64_t solves = 0;
   std::uint64_t warm_solves = 0;   // phase 1 skipped, prior basis reused
   std::uint64_t cold_solves = 0;   // full two-phase revised solve
-  std::uint64_t dense_fallbacks = 0;
   std::uint64_t iterations = 0;    // simplex pivots across all solves
 };
 
@@ -72,7 +93,6 @@ class SimplexState {
   // Shape-preserving mutations, forwarded to the form with the bookkeeping
   // the warm path needs. Cheap; the actual re-solve happens in Solve().
   void SetRhs(std::size_t row, double rhs);
-  void RelaxEquality(std::size_t row, double rhs);
   void SetCoefficient(std::size_t row, std::size_t variable, double value);
   void SetObjectiveCoefficient(std::size_t variable, double coefficient);
 
@@ -123,7 +143,6 @@ class SimplexState {
   bool ApplyPendingColumnUpdates(); // Sherman-Morrison; false if refactor failed
   bool WarmSolve();                 // false => caller must cold-solve
   void ColdSolve();
-  void DenseFallback();
   void ExtractSolution(SolveStatus status);
 
   StandardForm form_;

@@ -65,16 +65,6 @@ void StandardForm::SetRhs(std::size_t row, double rhs) {
   rhs_[row] = rhs;
 }
 
-void StandardForm::RelaxEquality(std::size_t row, double rhs) {
-  TSF_CHECK(finalized_);
-  TSF_CHECK_LT(row, num_rows());
-  TSF_CHECK(relation_[row] == Relation::kEqual)
-      << "RelaxEquality on a non-equality row";
-  TSF_CHECK(std::isfinite(rhs));
-  relation_[row] = Relation::kGreaterEqual;
-  rhs_[row] = rhs;
-}
-
 double StandardForm::SetCoefficient(std::size_t row, std::size_t variable,
                                     double value) {
   TSF_CHECK(finalized_);
@@ -91,21 +81,6 @@ double StandardForm::SetCoefficient(std::size_t row, std::size_t variable,
   TSF_CHECK(false) << "SetCoefficient: no slot for row " << row
                    << ", variable " << variable
                    << " — creating one would change the shape";
-}
-
-Problem StandardForm::ToDenseProblem() const {
-  TSF_CHECK(finalized_);
-  Problem problem(num_variables_);
-  std::vector<double> objective = objective_;
-  problem.SetObjective(std::move(objective));
-  std::vector<std::vector<double>> rows(num_rows(),
-                                        std::vector<double>(num_variables_, 0.0));
-  for (std::size_t variable = 0; variable < num_variables_; ++variable)
-    for (const Entry& entry : columns_[variable])
-      rows[entry.row][variable] = entry.value;
-  for (std::size_t row = 0; row < num_rows(); ++row)
-    problem.AddConstraint(std::move(rows[row]), relation_[row], rhs_[row]);
-  return problem;
 }
 
 }  // namespace tsf::lp

@@ -1,17 +1,15 @@
 // Standard-form program with immutable shape and sparse column storage.
 //
-// The dense solver in simplex.h rebuilds its tableau from scratch on every
-// call, which is wasteful for progressive filling: within a run, the round
-// LPs and every per-user FREEZE probe share one constraint matrix and differ
+// Progressive filling solves many LPs per run: within a run, the round LPs
+// and every per-user FREEZE probe share one constraint matrix and differ
 // only in a few right-hand sides, the objective, and one coefficient per
 // frozen user (see core/offline/filling_engine.h). StandardForm captures
 // exactly that structure:
 //
 //   * the *shape* — which rows exist and which (row, variable) slots are
 //     nonzero — is fixed at Finalize() time and never changes;
-//   * the *values* — rhs, an equality row's relation (one-way relaxation to
-//     >=), the coefficient stored in an existing slot, and the objective —
-//     may be mutated afterwards in O(changed slots).
+//   * the *values* — rhs, the coefficient stored in an existing slot, and
+//     the objective — may be mutated afterwards in O(changed slots).
 //
 // Shape immutability is what makes warm re-solving sound: a basis of the old
 // program names columns that still exist, with the same sparsity, in the new
@@ -21,8 +19,7 @@
 //
 // Row i's dedicated logical slack column (index num_variables() + i) is
 // implied, not stored: +1 for kLessEqual rows, -1 (surplus) for
-// kGreaterEqual rows, and -1-but-banned for kEqual rows, so relaxing an
-// equality to >= only lifts a ban and never alters the matrix.
+// kGreaterEqual rows, and -1-but-banned for kEqual rows.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +27,9 @@
 #include <utility>
 #include <vector>
 
-#include "lp/simplex.h"
-
 namespace tsf::lp {
+
+enum class Relation { kLessEqual, kEqual, kGreaterEqual };
 
 class StandardForm {
  public:
@@ -61,11 +58,6 @@ class StandardForm {
 
   void SetRhs(std::size_t row, double rhs);
 
-  // kEqual -> kGreaterEqual with a new rhs (unbans the row's surplus). The
-  // reverse direction would require driving a basic surplus out of every
-  // dependent basis and is deliberately unsupported.
-  void RelaxEquality(std::size_t row, double rhs);
-
   // Overwrites the coefficient held in an existing (row, variable) slot and
   // returns the previous value. The slot must have been created by AddRow —
   // writing a brand-new nonzero would change the shape.
@@ -83,10 +75,6 @@ class StandardForm {
   const std::vector<Entry>& column(std::size_t variable) const {
     return columns_[variable];
   }
-
-  // Rebuilds an equivalent dense Problem — the executable-spec solver used
-  // for differential testing and as the warm path's last-resort fallback.
-  Problem ToDenseProblem() const;
 
  private:
   std::size_t num_variables_;

@@ -1,8 +1,8 @@
 // Differential tests: the warm-started revised simplex (lp/revised.h) against
-// the dense tableau solver (lp/simplex.h), which serves as the executable
-// spec. Randomized programs — feasible, infeasible, unbounded, and
-// degenerate — must agree on status, and on the objective to 1e-9, both on
-// cold solves and after chains of shape-preserving mutations re-solved warm.
+// the dense tableau oracle (lp_oracle.h). Randomized programs — feasible,
+// infeasible, unbounded, and degenerate — must agree on status, and on the
+// objective to 1e-9, both on cold solves and after chains of
+// shape-preserving mutations re-solved warm.
 
 #include <cmath>
 #include <cstddef>
@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "lp/revised.h"
-#include "lp/simplex.h"
 #include "lp/standard_form.h"
+#include "lp_oracle.h"
 #include "util/rng.h"
 
 namespace tsf::lp {
@@ -25,7 +25,6 @@ struct RandomProgram {
   StandardForm form;
   // Every (row, variable) slot created by AddRow, for mutation picking.
   std::vector<std::pair<std::size_t, std::size_t>> slots;
-  std::vector<std::size_t> equality_rows;
 };
 
 // Small integer coefficients keep the programs well-conditioned so the two
@@ -34,7 +33,7 @@ struct RandomProgram {
 RandomProgram MakeRandomProgram(Rng& rng, bool feasible_by_construction) {
   const std::size_t n = static_cast<std::size_t>(rng.Int(1, 5));
   const std::size_t m = static_cast<std::size_t>(rng.Int(1, 7));
-  RandomProgram program{StandardForm(n), {}, {}};
+  RandomProgram program{StandardForm(n), {}};
 
   std::vector<double> target(n, 0.0);
   if (feasible_by_construction)
@@ -76,7 +75,6 @@ RandomProgram MakeRandomProgram(Rng& rng, bool feasible_by_construction) {
     }
     const std::size_t row = program.form.AddRow(terms, relation, rhs);
     for (const auto& [v, unused] : terms) program.slots.emplace_back(row, v);
-    if (relation == Relation::kEqual) program.equality_rows.push_back(row);
   }
   for (std::size_t v = 0; v < n; ++v)
     program.form.SetObjectiveCoefficient(v,
@@ -126,7 +124,7 @@ TEST(LpDifferentialTest, ColdSolveMatchesDenseOnRandomPrograms) {
   int optimal = 0, infeasible = 0, unbounded = 0;
   for (int trial = 0; trial < 400; ++trial) {
     RandomProgram program = MakeRandomProgram(rng, trial % 2 == 0);
-    const Solution dense = program.form.ToDenseProblem().Solve();
+    const Solution dense = DenseProblemOf(program.form).Solve();
     SimplexState state(std::move(program.form));
     const Solution& revised = state.Solve();
     ExpectAgreement(dense, revised, "cold");
@@ -142,7 +140,7 @@ TEST(LpDifferentialTest, ColdSolveMatchesDenseOnRandomPrograms) {
         ++unbounded;
         break;
       case SolveStatus::kCutoff:
-        ADD_FAILURE() << "the dense solver has no objective cutoff";
+        ADD_FAILURE() << "the dense oracle has no objective cutoff";
         break;
     }
   }
@@ -158,28 +156,19 @@ TEST(LpDifferentialTest, WarmResolveMatchesDenseAcrossMutationChains) {
   for (int trial = 0; trial < 200; ++trial) {
     RandomProgram program = MakeRandomProgram(rng, true);
     std::vector<std::pair<std::size_t, std::size_t>> slots = program.slots;
-    std::vector<std::size_t> equalities = program.equality_rows;
     SimplexState state(std::move(program.form));
     state.Solve();
     for (int step = 0; step < 6; ++step) {
-      const int kind = static_cast<int>(rng.Int(0, 2));
-      if (kind == 0) {
+      if (rng.Chance(0.5)) {
         const std::size_t row = rng.Below(state.form().num_rows());
         state.SetRhs(row, state.form().rhs(row) +
                               static_cast<double>(rng.Int(-2, 2)));
-      } else if (kind == 1 && !equalities.empty()) {
-        const std::size_t pick = rng.Below(equalities.size());
-        const std::size_t row = equalities[pick];
-        equalities.erase(equalities.begin() +
-                         static_cast<std::ptrdiff_t>(pick));
-        state.RelaxEquality(row, state.form().rhs(row) -
-                                     static_cast<double>(rng.Int(0, 2)));
       } else {
         const auto [row, variable] = slots[rng.Below(slots.size())];
         state.SetCoefficient(row, variable,
                              static_cast<double>(rng.Int(-3, 3)));
       }
-      const Solution dense = state.form().ToDenseProblem().Solve();
+      const Solution dense = DenseProblemOf(state.form()).Solve();
       const Solution& revised = state.Solve();
       ExpectAgreement(dense, revised, "warm chain");
       if (dense.status == SolveStatus::kOptimal)
@@ -188,40 +177,8 @@ TEST(LpDifferentialTest, WarmResolveMatchesDenseAcrossMutationChains) {
     warm_total += state.stats().warm_solves;
   }
   // The whole point of the engine: a healthy share of re-solves must take
-  // the warm path (rhs-only and relaxation-only steps always qualify).
+  // the warm path.
   EXPECT_GT(warm_total, 200u);
-}
-
-TEST(LpDifferentialTest, FreezeProbeShapedMutationsStayWarm) {
-  // Equality coupling rows with a shared "share" column: relax one user's
-  // row to a floor and zero its (basic) share coefficient, then re-solve
-  // warm.
-  StandardForm form(4);  // x0, x1 (allocations), x2 unused, s = variable 3
-  const std::size_t user0 =
-      form.AddRow({{0, 1.0}, {3, -2.0}}, Relation::kEqual, 0.0);
-  form.AddRow({{1, 1.0}, {3, -1.0}}, Relation::kEqual, 0.0);
-  form.AddRow({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 9.0);
-  form.SetObjectiveCoefficient(3, 1.0);
-  form.Finalize();
-
-  SimplexState state(std::move(form));
-  const Solution& round = state.Solve();
-  ASSERT_EQ(round.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(round.objective, 3.0, kTol);  // 2s + s = 9
-  EXPECT_EQ(state.stats().cold_solves, 1u);
-
-  // Probe: user 0 drops to floor 1.0; its share coupling disappears.
-  state.SetCoefficient(user0, 3, 0.0);
-  state.RelaxEquality(user0, 1.0);
-  const Solution& probe = state.Solve();
-  ASSERT_EQ(probe.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(probe.objective, 8.0, kTol);  // x0 = 1, x1 = s = 8
-  EXPECT_EQ(state.stats().warm_solves, 1u);
-  EXPECT_EQ(state.stats().cold_solves, 1u);
-  EXPECT_EQ(state.stats().dense_fallbacks, 0u);
-
-  const Solution dense = state.form().ToDenseProblem().Solve();
-  ExpectAgreement(dense, probe, "freeze probe");
 }
 
 TEST(LpDifferentialTest, RefactorPathAfterNearSingularColumnUpdate) {
@@ -249,7 +206,7 @@ TEST(LpDifferentialTest, RefactorPathAfterNearSingularColumnUpdate) {
   state.SetCoefficient(0, 1, 1.0);  // col1 <- e0: refactored basis is
   state.SetCoefficient(1, 1, 0.0);  // nonsingular, but needs the row swap
 
-  const Solution dense = state.form().ToDenseProblem().Solve();
+  const Solution dense = DenseProblemOf(state.form()).Solve();
   const Solution& revised = state.Solve();
   ExpectAgreement(dense, revised, "refactor");
   ASSERT_EQ(revised.status, SolveStatus::kOptimal);
@@ -259,11 +216,10 @@ TEST(LpDifferentialTest, RefactorPathAfterNearSingularColumnUpdate) {
   ExpectFeasible(state.form(), revised);
   EXPECT_EQ(state.stats().warm_solves, 1u);  // refactor stayed on the warm path
   EXPECT_EQ(state.stats().cold_solves, 1u);
-  EXPECT_EQ(state.stats().dense_fallbacks, 0u);
 
   // The refactored state must stay consistent across further warm re-solves.
   state.SetRhs(0, 3.0);
-  const Solution dense_after = state.form().ToDenseProblem().Solve();
+  const Solution dense_after = DenseProblemOf(state.form()).Solve();
   const Solution& after = state.Solve();
   ExpectAgreement(dense_after, after, "post-refactor warm");
   ASSERT_EQ(after.status, SolveStatus::kOptimal);

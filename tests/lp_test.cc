@@ -1,5 +1,6 @@
-// Unit tests for the two-phase simplex solver and for the warm-path
-// operations of the revised solver that progressive filling relies on.
+// Unit tests for the dense two-phase simplex oracle (lp_oracle.h) and for
+// the warm-path operations of the revised solver that progressive filling
+// relies on.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,7 +8,7 @@
 #include <vector>
 
 #include "lp/revised.h"
-#include "lp/simplex.h"
+#include "lp_oracle.h"
 #include "util/rng.h"
 
 namespace tsf::lp {
@@ -225,7 +226,7 @@ TEST(RevisedSimplex, ObjectiveChangeResolvesWarmFromTheOptimum) {
   EXPECT_NEAR(probe.objective, 5.0, 1e-9);  // x0 = 4 keeps u0 >= 2
   EXPECT_EQ(filling.state.stats().warm_solves, 1u);
   EXPECT_EQ(filling.state.stats().cold_solves, 1u);
-  const Solution dense = filling.state.form().ToDenseProblem().Solve();
+  const Solution dense = DenseProblemOf(filling.state.form()).Solve();
   EXPECT_NEAR(dense.objective, probe.objective, 1e-9);
 }
 
@@ -264,8 +265,7 @@ TEST(RevisedSimplex, FreezeViaEnterSlackKeepsTheBasisWarm) {
   EXPECT_NEAR(next.objective, 5.0, 1e-9);  // x0 = 4, x1 = u1 = s = 5
   EXPECT_EQ(filling.state.stats().warm_solves, 1u);
   EXPECT_EQ(filling.state.stats().cold_solves, 1u);
-  EXPECT_EQ(filling.state.stats().dense_fallbacks, 0u);
-  const Solution dense = filling.state.form().ToDenseProblem().Solve();
+  const Solution dense = DenseProblemOf(filling.state.form()).Solve();
   EXPECT_NEAR(dense.objective, next.objective, 1e-9);
 }
 

@@ -5,6 +5,8 @@
 #include "core/offline/multiclass.h"
 #include "core/offline/policies.h"
 #include "core/paper_examples.h"
+#include "lp_oracle.h"
+#include "random_instances.h"
 #include "util/rng.h"
 
 namespace tsf {
@@ -52,6 +54,44 @@ TEST(MultiClass, MonopolyTotalRespectsTheMix) {
   problem.users.push_back(user);
   const CompiledMultiClass compiled = CompileMultiClass(problem);
   EXPECT_NEAR(compiled.H[0], 8.0, 1e-6);
+}
+
+// The monopoly LP behind H writes its mix rows as sum_m n_cm >= mix_c * n.
+// Its optimum must be the equality form's, solved here on the dense oracle.
+TEST(MultiClass, MonopolyMixRowsMatchTheEqualityForm) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const CompiledMultiClass compiled =
+        CompileMultiClass(RandomMultiClass(6, 5, seed));
+    const std::size_t machines = compiled.num_machines;
+    for (UserId i = 0; i < compiled.num_users; ++i) {
+      const std::size_t classes = compiled.mix[i].size();
+      const std::size_t total = classes * machines;
+      lp::Problem equality(total + 1);
+      equality.SetObjectiveCoefficient(total, 1.0);
+      for (std::size_t c = 0; c < classes; ++c) {
+        std::vector<std::pair<std::size_t, double>> terms;
+        for (MachineId m = 0; m < machines; ++m)
+          terms.emplace_back(c * machines + m, 1.0);
+        terms.emplace_back(total, -compiled.mix[i][c]);
+        equality.AddConstraintSparse(terms, lp::Relation::kEqual, 0.0);
+      }
+      for (MachineId m = 0; m < machines; ++m) {
+        for (std::size_t r = 0; r < compiled.num_resources; ++r) {
+          std::vector<std::pair<std::size_t, double>> terms;
+          for (std::size_t c = 0; c < classes; ++c)
+            if (compiled.demand[i][c][r] > 0.0)
+              terms.emplace_back(c * machines + m, compiled.demand[i][c][r]);
+          if (!terms.empty())
+            equality.AddConstraintSparse(terms, lp::Relation::kLessEqual,
+                                         compiled.machine_capacity[m][r]);
+        }
+      }
+      const lp::Solution expected = equality.Solve();
+      ASSERT_TRUE(expected.optimal()) << "seed " << seed << " user " << i;
+      EXPECT_NEAR(compiled.H[i], expected.objective, 1e-9 * expected.objective)
+          << "seed " << seed << " user " << i;
+    }
+  }
 }
 
 TEST(MultiClass, AllocationKeepsClassProportions) {

@@ -217,8 +217,8 @@ TEST(OfflineGolden, LpWorkContract) {
     return registry.GetCounter(name).Total();
   };
   const char* const names[] = {"lp.warm_hits", "lp.warm_fallbacks",
-                               "lp.cold_solves", "lp.dense_fallbacks",
-                               "filling.probes", "filling.probe_cold_solves"};
+                               "lp.cold_solves", "filling.probes",
+                               "filling.probe_cold_solves"};
   std::map<std::string, std::int64_t> before;
   for (const char* name : names) before[name] = read(name);
   telemetry::SetEnabled(true);
@@ -232,7 +232,6 @@ TEST(OfflineGolden, LpWorkContract) {
   }
 
   ASSERT_GT(delta["filling.probes"], 0) << summary;
-  EXPECT_EQ(delta["lp.dense_fallbacks"], 0) << summary;
   EXPECT_EQ(delta["filling.probe_cold_solves"], 0) << summary;
   const double warm_starts = static_cast<double>(delta["lp.warm_hits"] +
                                                  delta["lp.warm_fallbacks"]);

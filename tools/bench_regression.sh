@@ -4,6 +4,9 @@
 # baseline by more than the tolerance FAILS (non-zero exit), as does the
 # telemetry-off overhead check (BM_TraceSimulation — telemetry compiled in,
 # runtime-disabled, the default build — must stay within 2% of baseline).
+# The run covers the whole suite, so its timed rows and the baseline's must
+# be the same set: a benchmark added, renamed or deleted without updating
+# the baseline FAILS instead of silently comparing nothing.
 #
 # Usage:
 #   tools/bench_regression.sh [build-dir]            gate; baseline untouched
@@ -104,7 +107,9 @@ failures = []
 print(f"{'benchmark':40s} {'old':>12s} {'new':>12s} {'speedup':>8s}")
 for name, b in new.items():
     if name not in old:
-        print(f"{name:40s} {'-':>12s} {b['real_time']:>10.1f}{b['time_unit']:<2s}")
+        print(f"{name:40s} {'-':>12s} {b['real_time']:>10.1f}{b['time_unit']:<2s}"
+              "  << NO BASELINE")
+        failures.append(f"{name}: in the fresh run but not in the baseline")
         continue
     o, n = old[name]["real_time"], b["real_time"]
     unit = b["time_unit"]
@@ -115,6 +120,11 @@ for name, b in new.items():
         failures.append(f"{name}: {slowdown_pct:+.1f}% (limit +{tolerance:g}%)")
     print(f"{name:40s} {o:>10.1f}{unit:<2s} {n:>10.1f}{unit:<2s} "
           f"{o / n:>7.2f}x{flag}")
+for name in old:
+    if name not in new:
+        print(f"{name:40s} {old[name]['real_time']:>10.1f}"
+              f"{old[name]['time_unit']:<2s} {'-':>12s}  << NOT RUN")
+        failures.append(f"{name}: in the baseline but not in the fresh run")
 
 # Telemetry-off overhead check (see tools/check_telemetry_overhead.sh for
 # the stricter compiled-out vs compiled-in gate): the default build carries

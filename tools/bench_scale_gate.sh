@@ -2,6 +2,9 @@
 # Trace-scale smoke gate: runs the bench_scale smoke lane (10k machines) and
 # compares it against the committed BENCH_scale.json. Fails when
 #   * the fresh run comes from a non-release binary (JSON context check),
+#   * a fresh lane has no baseline entry (a renamed or added lane would
+#     otherwise compare nothing); baseline lanes the smoke run skips are
+#     fine, since it runs only the smallest one,
 #   * a lane's items/sec dropped below baseline by more than the tolerance.
 # Peak RSS per lane is printed alongside (ru_maxrss is process-monotone, so
 # only the first lane's value is a tight per-lane bound; rss_delta_mb is the
@@ -56,7 +59,10 @@ for lane in new["benchmarks"]:
     name = lane["name"]
     rss = f"{lane['peak_rss_mb']:.1f}MB"
     if name not in old_lanes:
-        print(f"{name:28s} {'-':>12s} {lane['items_per_second']:>10.0f}/s {rss:>10s}")
+        print(f"{name:28s} {'-':>12s} {lane['items_per_second']:>10.0f}/s {rss:>10s}"
+              "  << NO BASELINE")
+        failures.append(f"{name}: no baseline lane of that name (baseline "
+                        f"lanes: {', '.join(sorted(old_lanes))})")
         continue
     o = old_lanes[name]["items_per_second"]
     n = lane["items_per_second"]
