@@ -226,16 +226,6 @@ std::string SerializeFaultPlan(const FaultPlan& plan) {
   return out.str();
 }
 
-std::uint64_t HashFaultPlan(const FaultPlan& plan) {
-  const std::string text = SerializeFaultPlan(plan);
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 FaultPlan ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
   std::istringstream in(text);

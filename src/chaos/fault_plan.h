@@ -87,9 +87,6 @@ std::string ValidateFaultPlan(const FaultPlan& plan, std::size_t num_machines,
 
 // One event per line: "fault <kind> t=<time> target=<n> param=<p>".
 std::string SerializeFaultPlan(const FaultPlan& plan);
-// FNV-1a over SerializeFaultPlan — the corpus/novelty fingerprint of a plan
-// (chaos/search.h). Equal plans hash equal across processes and runs.
-std::uint64_t HashFaultPlan(const FaultPlan& plan);
 // Parses the SerializeFaultPlan format; TSF_CHECK-fails on malformed input.
 // Ignores blank lines and lines not starting with "fault".
 FaultPlan ParseFaultPlan(const std::string& text);

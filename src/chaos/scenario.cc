@@ -214,38 +214,17 @@ std::vector<StreamEvent> ConvertDesStream(
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
                               const FaultPlan& plan, SimCore core) {
-  ScenarioRunOptions options;
-  options.core = core;
-  return RunDesScenario(workload, policy, plan, options);
-}
-
-ScenarioReport RunDesScenario(const Workload& workload,
-                              const OnlinePolicy& policy,
-                              const FaultPlan& plan,
-                              const ScenarioRunOptions& run_options) {
   TSF_CHECK(ValidateFaultPlan(plan, workload.cluster.num_machines(), 0).empty())
       << "ill-formed DES fault plan";
   std::vector<SimStreamEvent> raw;
   SimOptions options;
   options.faults = CompileForDes(plan);
   options.stream = &raw;
-  options.fairness_sample_interval = run_options.fairness_sample_interval;
-  const SimResult result =
-      Simulate(workload, policy, run_options.core, options);
+  Simulate(workload, policy, core, options);
   ScenarioReport report;
   report.stream = ConvertDesStream(raw);
-  report.violations =
-      CheckStream(ViewOfWorkload(workload), report.stream,
-                  run_options.coverage ? &report.coverage : nullptr);
+  report.violations = CheckStream(ViewOfWorkload(workload), report.stream);
   report.stream_hash = HashStream(report.stream);
-  // Post-quiescence convergence over the trailing half of the run, where
-  // the surviving tasks have drained back onto the restored machines. The
-  // makespan guard keeps at least one sample instant inside the window
-  // (FairnessGap requires a non-empty window).
-  if (run_options.fairness_sample_interval > 0.0 &&
-      result.makespan >= 2.0 * run_options.fairness_sample_interval)
-    report.fairness_gap = FairnessGap(workload, result, result.makespan * 0.5,
-                                      result.makespan);
   return report;
 }
 
@@ -361,11 +340,6 @@ std::vector<StreamEvent> ConvertMesosStream(
 }
 
 ScenarioReport RunMesosScenario(const MesosScenario& scenario) {
-  return RunMesosScenario(scenario, ScenarioRunOptions{});
-}
-
-ScenarioReport RunMesosScenario(const MesosScenario& scenario,
-                                const ScenarioRunOptions& run_options) {
   TSF_CHECK(ValidateFaultPlan(scenario.plan, scenario.config.slaves.size(),
                               scenario.frameworks.size())
                 .empty())
@@ -377,10 +351,8 @@ ScenarioReport RunMesosScenario(const MesosScenario& scenario,
   mesos::RunCluster(scenario.config, scenario.frameworks, options);
   ScenarioReport report;
   report.stream = ConvertMesosStream(raw);
-  report.violations =
-      CheckStream(ViewOfMesos(scenario.config, scenario.frameworks),
-                  report.stream,
-                  run_options.coverage ? &report.coverage : nullptr);
+  report.violations = CheckStream(
+      ViewOfMesos(scenario.config, scenario.frameworks), report.stream);
   report.stream_hash = HashStream(report.stream);
   return report;
 }

@@ -24,13 +24,6 @@ struct ScenarioReport {
   std::vector<StreamEvent> stream;     // the converted, checked stream
   std::vector<Violation> violations;   // empty == all invariants hold
   std::uint64_t stream_hash = 0;       // HashStream(stream)
-  // Checker branches this run exercised (chaos::ChaosCoverage); empty unless
-  // the run was made through an options struct with `coverage = true` (and
-  // the build has coverage compiled in — see TSF_CHAOS_COVERAGE).
-  ChaosCoverage coverage;
-  // Post-quiescence fairness gap vs the offline TSF point; -1 when not
-  // computed (DES runs with `fairness_sample_interval > 0` only).
-  double fairness_gap = -1.0;
 
   bool ok() const { return violations.empty(); }
 };
@@ -73,27 +66,11 @@ ScenarioView ViewOfWorkload(const Workload& workload);
 std::vector<StreamEvent> ConvertDesStream(
     const std::vector<SimStreamEvent>& stream);
 
-// Knobs of the instrumented scenario runners (the guided fuzzer's feedback
-// taps). The defaults reproduce the plain runners exactly.
-struct ScenarioRunOptions {
-  SimCore core = SimCore::kIncremental;
-  // Record checker-branch coverage into ScenarioReport::coverage.
-  bool coverage = false;
-  // DES only: sample the fairness timeline at this virtual-time period and
-  // fill ScenarioReport::fairness_gap from the post-quiescence convergence
-  // check (chaos::FairnessGap over the trailing half of the run). 0 = off.
-  double fairness_sample_interval = 0.0;
-};
-
 // Simulates with faults + stream recording, then checks every invariant.
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
                               const FaultPlan& plan,
                               SimCore core = SimCore::kIncremental);
-ScenarioReport RunDesScenario(const Workload& workload,
-                              const OnlinePolicy& policy,
-                              const FaultPlan& plan,
-                              const ScenarioRunOptions& options);
 
 // --- Mesos substrate --------------------------------------------------------
 
@@ -116,8 +93,6 @@ std::vector<StreamEvent> ConvertMesosStream(
     const std::vector<mesos::MasterEvent>& stream);
 
 ScenarioReport RunMesosScenario(const MesosScenario& scenario);
-ScenarioReport RunMesosScenario(const MesosScenario& scenario,
-                                const ScenarioRunOptions& options);
 
 // --- Fairness convergence ---------------------------------------------------
 

@@ -24,6 +24,11 @@ namespace {
 // set it before the run and reset it after, never concurrently with one.
 std::atomic<InjectedBug> g_injected_bug{InjectedBug::kNone};
 
+// A cycle that drops or rescinds an offer re-runs the allocator this much
+// later (stock Mesos's default --allocation_interval), so the framework is
+// offered again even if no other event follows.
+constexpr double kReofferInterval = 1.0;
+
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;
@@ -32,7 +37,7 @@ struct Event {
     kTaskFinish,
     kSample,
     kFault,  // framework field holds the index into RunOptions::faults
-    kNudge,  // re-run allocation (decline-timeout expiry), no state change
+    kNudge,  // re-run allocation (re-offer after a fault), no state change
   } kind = Kind::kRegister;
   std::size_t framework = 0;
   std::size_t slave = 0;
@@ -410,6 +415,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       offer_heap.Heapify();
     }
 
+    bool lost_offer = false;
     while (!offer_heap.Empty()) {
       const RankEntry entry = offer_heap.PopMin();
       FrameworkState& fw = frameworks[entry.id];
@@ -422,12 +428,14 @@ SimOutcome RunCluster(const ClusterConfig& config,
         --fw.pending_rescinds;
         ++stats.offers_rescinded;
         TSF_COUNTER_ADD("chaos.mesos.offers_rescinded", 1);
+        lost_offer = true;
         continue;  // out for the rest of this cycle
       }
       if (fw.pending_drops > 0) {
         --fw.pending_drops;
         ++stats.offers_dropped;
         TSF_COUNTER_ADD("chaos.mesos.offers_dropped", 1);
+        lost_offer = true;
         continue;  // out for the rest of this cycle
       }
       if (now < fw.blackout_until) {
@@ -489,6 +497,9 @@ SimOutcome RunCluster(const ClusterConfig& config,
                         entry.id, slave, task_id});
       if (fw.HasPending()) offer_heap.Push(fw.key, entry.id);
     }
+    if (lost_offer)
+      events.push(Event{now + kReofferInterval, seq++, Event::Kind::kNudge,
+                        0, 0});
 #if defined(TSF_TELEMETRY)
     if (tm_round) {
       const std::chrono::duration<double, std::micro> tm_round_us =
@@ -685,7 +696,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
           break;
         }
         case Event::Kind::kNudge:
-          state_changed = true;  // decline-timeout expired: re-offer
+          state_changed = true;  // re-offer after a fault
           break;
         case Event::Kind::kSample:
           sampled = true;

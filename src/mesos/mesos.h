@@ -118,6 +118,7 @@ struct Fault {
     kOfferDrop,            // target = framework; master drops its next
                            // max(1, param) offers, one per allocation cycle
     kOfferRescind,         // target = framework; next offer is rescinded
+                           // (a lost offer is re-offered 1 s later)
     kDeclineTimeout,       // target = framework; declines everything until
                            // time + param (a stuck scheduler driver)
     kFrameworkDisconnect,  // target = framework; receives no offers, its

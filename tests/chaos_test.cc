@@ -461,6 +461,34 @@ TEST(ScenarioTest, MesosScenarioRunsCleanAndDeterministic) {
   EXPECT_FALSE(a.stream.empty());
 }
 
+// A framework whose offer is dropped or rescinded in the last allocation
+// cycle must be offered again even if no later event re-runs the
+// allocator. In seed 24, f1 re-registers at t=16.80 with two drops pending,
+// and the cycles at 16.80 and 17.32 each drop one offer; no other event
+// follows while f1 still has all 18 tasks to launch. Blind seeds 280, 348
+// and 378 lose a framework's last offer the same way under their own plans.
+TEST(ScenarioTest, MesosReoffersAfterLostOffers) {
+  MesosScenario starved = RandomMesosScenario(24);
+  starved.plan.events = {
+      {6.6998593494609313, FaultKind::kFrameworkDisconnect, 1, 0.0},
+      {8.7553454627239233, FaultKind::kOfferDrop, 1, 2.0},
+      {16.802167052314175, FaultKind::kFrameworkReregister, 1, 0.0},
+  };
+  const std::vector<MesosScenario> scenarios = {
+      starved, RandomMesosScenario(280), RandomMesosScenario(348),
+      RandomMesosScenario(378)};
+  for (const MesosScenario& scenario : scenarios) {
+    const ScenarioReport report = RunMesosScenario(scenario);
+    EXPECT_TRUE(report.ok()) << ToString(report.violations.front());
+    std::vector<long> finished(scenario.frameworks.size(), 0);
+    for (const StreamEvent& event : report.stream)
+      if (event.kind == Kind::kFinish) ++finished[event.user];
+    for (std::size_t f = 0; f < finished.size(); ++f)
+      EXPECT_EQ(finished[f], scenario.frameworks[f].num_tasks)
+          << "framework " << f;
+  }
+}
+
 TEST(ScenarioTest, AllOnlinePoliciesHasCanonicalOrder) {
   const std::vector<OnlinePolicy> policies = AllOnlinePolicies();
   ASSERT_EQ(policies.size(), 6u);

@@ -25,16 +25,12 @@ std::string ReadFile(const std::filesystem::path& path) {
   return out.str();
 }
 
-std::vector<std::filesystem::path> CommittedFiles(const char* dir) {
+std::vector<std::filesystem::path> CommittedRepros() {
   std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir))
+  for (const auto& entry : std::filesystem::directory_iterator(TSF_REPRO_DIR))
     if (entry.path().extension() == ".txt") paths.push_back(entry.path());
   std::sort(paths.begin(), paths.end());
   return paths;
-}
-
-std::vector<std::filesystem::path> CommittedRepros() {
-  return CommittedFiles(TSF_REPRO_DIR);
 }
 
 // "[invariant_id] ..." -> "invariant_id"; empty if no bracketed prefix.
@@ -87,44 +83,6 @@ TEST(ScenarioReplayTest, LeakTaskOnCrashReproIsMinimalAndCaught) {
     found = found || violation.invariant == "task_survived_crash";
   EXPECT_TRUE(found) << "leak no longer detected; first violation is "
                      << ToString(violations.front());
-}
-
-// The guided fuzzer's committed corpus (tests/corpus/) is the dual of the
-// repro set: every entry must replay violation-FREE at head, on its own
-// substrate, from nothing but the file. An entry that starts violating
-// means a real (or re-planted) bug — fix it or re-mint the corpus; an entry
-// that stops parsing or round-tripping is stale against the text format.
-TEST(ScenarioReplayTest, EveryCorpusEntryReplaysViolationFree) {
-  const std::vector<std::filesystem::path> paths =
-      CommittedFiles(TSF_CORPUS_DIR);
-  ASSERT_FALSE(paths.empty()) << "no corpus committed under " << TSF_CORPUS_DIR;
-  bool saw_des = false;
-  bool saw_mesos = false;
-  for (const std::filesystem::path& path : paths) {
-    SCOPED_TRACE(path.filename().string());
-    const std::string text = ReadFile(path);
-    const Repro entry = ParseRepro(text);
-    saw_des = saw_des || entry.substrate == "des" ||
-              entry.substrate == "des-uniform";
-    saw_mesos = saw_mesos || entry.substrate == "mesos";
-    // Staleness guard: the committed bytes are exactly what the current
-    // format writes (same fixed point the repro files rely on).
-    EXPECT_EQ(SerializeRepro(entry), text) << "entry is stale — regenerate "
-                                              "with fuzz_scenarios "
-                                              "--guided --corpus_out";
-    // Minimality guard: corpus plans stay within the search's atom cap
-    // (16 atoms, each at most an open/close pair).
-    EXPECT_LE(entry.plan.events.size(), 32u);
-    EXPECT_TRUE(entry.violation.empty());
-    EXPECT_EQ(entry.injected_bug, "none");
-    const std::vector<Violation> violations = ReplayRepro(entry);
-    EXPECT_TRUE(violations.empty())
-        << "corpus entry violates at head: " << ToString(violations.front());
-  }
-  // The corpus seeds both substrates' searches; losing one side silently
-  // would blind future guided runs on that substrate.
-  EXPECT_TRUE(saw_des) << "no DES entries in the committed corpus";
-  EXPECT_TRUE(saw_mesos) << "no Mesos entries in the committed corpus";
 }
 
 }  // namespace

@@ -22,13 +22,9 @@
 #   scale     trace-scale smoke: bench_scale 10k-machine smoke lane
 #             gated against BENCH_scale.json
 #             (tools/bench_scale_gate.sh; skipped without a baseline)
-#   fuzz      chaos fuzz smoke: tools/fuzz_scenarios --smoke (64 seeded
-#             fault-injected scenarios, every policy, invariants armed)
-#             plus the injected-bug harness self-test; then the guided
-#             lane: a corpus-seeded feedback-driven search (--guided
-#             --smoke --corpus_dir=tests/corpus) and its own injected-bug
-#             self-test (guided must find the planted bug within the
-#             capped budget)
+#   fuzz      chaos fuzz smoke: tools/fuzz_scenarios --smoke (seeds
+#             1-2048 of fault-injected scenarios on every lane and policy,
+#             invariants armed) plus the injected-bug harness self-test
 #   slo       sustained-load SLO smoke: slo_report rate-1 lanes on both
 #             substrates gated against BENCH_slo.json (tools/slo_gate.sh;
 #             skipped without a baseline)
@@ -118,11 +114,7 @@ run_step() {
       cmake --preset release &&
       cmake --build --preset release --target fuzz_scenarios -j "$(nproc)" &&
       build/tools/fuzz_scenarios --smoke &&
-      build/tools/fuzz_scenarios --smoke --inject_bug=leak_task_on_crash &&
-      build/tools/fuzz_scenarios --guided --smoke \
-        --corpus_dir=tests/corpus &&
-      build/tools/fuzz_scenarios --guided --smoke \
-        --inject_bug=leak_task_on_crash
+      build/tools/fuzz_scenarios --smoke --inject_bug=leak_task_on_crash
       ;;
     slo)
       if [ ! -f BENCH_slo.json ]; then

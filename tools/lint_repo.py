@@ -317,17 +317,17 @@ SELF_TEST_CASES = [
     (rule_telemetry_macros,  # per-policy histogram lookups in src/load must
      {"src/load/driver.cc":  # stay inside a TSF_TELEMETRY region
       "void Observe() { telemetry::Registry::Get().GetHistogram(\"x\"); }\n"}),
-    (rule_entry_point_checks,  # the guided-search loop is a chaos entry
-     {"src/chaos/search.cc":   # point: unchecked SearchOptions must flag
-      "SearchResult RunGuidedSearch(const SearchOptions& o) {\n"
-      "  return Loop(o);\n}\n"}),
-    (rule_entry_point_checks,  # mutation ops promise ValidateFaultPlan-by-
-     {"src/chaos/mutate.cc":   # construction; an unchecked Finish must flag
-      "FaultPlan Finish(std::vector<FaultAtom> atoms) {\n"
-      "  return AssembleAtoms(std::move(atoms));\n}\n"}),
-    (rule_telemetry_macros,  # coverage-guided search must not pay telemetry
-     {"src/chaos/search.cc":  # costs when instrumentation is compiled out
-      "void Score() { telemetry::Counter c; }\n"}),
+    (rule_entry_point_checks,  # ddmin is a chaos entry point: an
+     {"src/chaos/shrink.cc":   # unchecked failing-plan precondition must flag
+      "ShrinkResult ShrinkFaultPlan(const FaultPlan& p, const Pred& f) {\n"
+      "  return Reduce(p, f);\n}\n"}),
+    (rule_entry_point_checks,  # scenario runners take caller-built plans;
+     {"src/chaos/scenario.cc":  # an unvalidated plan must flag
+      "ScenarioReport RunMesosScenario(const MesosScenario& s) {\n"
+      "  return Check(Run(s));\n}\n"}),
+    (rule_telemetry_macros,  # the chaos runners must not pay telemetry
+     {"src/chaos/scenario.cc":  # costs when instrumentation is compiled out
+      "void Replay() { telemetry::Counter c; }\n"}),
 ]
 
 # Synthetic trees that must stay CLEAN — guards against over-matching.
@@ -392,20 +392,19 @@ SELF_TEST_CLEAN = [
      {"src/load/stream.cc":
       "GeneratedStream GenerateArrivals(const StreamSpec& spec) {\n"
       "  TSF_CHECK(spec.rate > 0.0);\n  return Build(spec);\n}\n"}),
-    (rule_entry_point_checks,  # the real search validates options and every
-     {"src/chaos/search.cc":   # mutant plan at the boundary
-      "SearchResult RunGuidedSearch(const SearchOptions& o) {\n"
-      "  TSF_CHECK_GT(o.max_execs, 0u) << \"empty budget\";\n"
-      "  return Loop(o);\n}\n"}),
-    (rule_entry_point_checks,  # mutate.cc asserts its by-construction
-     {"src/chaos/mutate.cc":   # contract before returning any mutant
-      "FaultPlan Finish(std::vector<FaultAtom> atoms) {\n"
-      "  FaultPlan plan = AssembleAtoms(std::move(atoms));\n"
-      "  TSF_CHECK(ValidateFaultPlan(plan).empty());\n  return plan;\n}\n"}),
-    (rule_telemetry_macros,  # ChaosCoverage is chaos-local feedback state
-     {"src/chaos/search.cc":  # (its own TSF_CHAOS_COVERAGE_OFF switch), not
-      "ChaosCoverage coverage;\n"  # a telemetry:: instrumentation symbol
-      "void Merge(const ChaosCoverage& o) { coverage.Merge(o); }\n"}),
+    (rule_entry_point_checks,  # the real shrinker checks its precondition
+     {"src/chaos/shrink.cc":   # before the first ddmin round
+      "ShrinkResult ShrinkFaultPlan(const FaultPlan& p, const Pred& f) {\n"
+      "  TSF_CHECK(f(p)) << \"plan does not fail before shrinking\";\n"
+      "  return Reduce(p, f);\n}\n"}),
+    (rule_entry_point_checks,  # the real runners validate the plan against
+     {"src/chaos/scenario.cc":  # the scenario's cluster before running it
+      "ScenarioReport RunMesosScenario(const MesosScenario& s) {\n"
+      "  TSF_CHECK(ValidateFaultPlan(s.plan, 2, 2).empty());\n"
+      "  return Check(Run(s));\n}\n"}),
+    (rule_telemetry_macros,  # macro-only instrumentation in the chaos
+     {"src/chaos/shrink.cc":  # harness compiles out under TELEMETRY=OFF
+      'void Round() { TSF_COUNTER_ADD("chaos.shrink.rounds", 1); }\n'}),
 ]
 
 
