@@ -1,11 +1,12 @@
 #include "chaos/fault_plan.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/text.h"
 
 namespace tsf::chaos {
 namespace {
@@ -26,11 +27,14 @@ constexpr struct {
 
 bool IsMachineKind(FaultKind kind) { return IsMachineFault(kind); }
 
-// Round-tripping double format (shortest exact form).
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+// The value of a "<key>=<value>" field; false if the key does not match.
+bool FieldValue(const std::string& field, std::string_view key,
+                std::string_view* value) {
+  if (field.size() <= key.size() || field.compare(0, key.size(), key) != 0 ||
+      field[key.size()] != '=')
+    return false;
+  *value = std::string_view(field).substr(key.size() + 1);
+  return true;
 }
 
 }  // namespace
@@ -42,11 +46,13 @@ std::string ToString(FaultKind kind) {
   return {};
 }
 
-FaultKind FaultKindFromString(const std::string& token) {
+bool FaultKindFromString(const std::string& token, FaultKind* kind) {
   for (const auto& entry : kKindTokens)
-    if (token == entry.token) return entry.kind;
-  TSF_CHECK(false) << "unknown fault kind token '" << token << "'";
-  return FaultKind::kMachineCrash;
+    if (token == entry.token) {
+      *kind = entry.kind;
+      return true;
+    }
+  return false;
 }
 
 bool IsMachineFault(FaultKind kind) {
@@ -226,29 +232,42 @@ std::string SerializeFaultPlan(const FaultPlan& plan) {
   return out.str();
 }
 
-FaultPlan ParseFaultPlan(const std::string& text) {
-  FaultPlan plan;
+bool ParseFaultPlan(const std::string& text, FaultPlan* plan,
+                    std::string* error) {
+  *plan = FaultPlan{};
   std::istringstream in(text);
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t line_number = 1; std::getline(in, line); ++line_number) {
     std::istringstream fields(line);
     std::string head;
     fields >> head;
     if (head != "fault") continue;
-    std::string kind, time_field, target_field, param_field;
+    const auto fail = [&](const std::string& message) {
+      *error = "line " + std::to_string(line_number) + ": " + message;
+      return false;
+    };
+    std::string kind, time_field, target_field, param_field, extra;
     fields >> kind >> time_field >> target_field >> param_field;
-    TSF_CHECK(time_field.rfind("t=", 0) == 0 &&
-              target_field.rfind("target=", 0) == 0 &&
-              param_field.rfind("param=", 0) == 0)
-        << "malformed fault line: " << line;
+    std::string_view time, target, param;
+    if (!FieldValue(time_field, "t", &time) ||
+        !FieldValue(target_field, "target", &target) ||
+        !FieldValue(param_field, "param", &param) || fields >> extra)
+      return fail("malformed fault line '" + line +
+                  "' (want fault <kind> t=<time> target=<n> param=<p>)");
     FaultSpec fault;
-    fault.kind = FaultKindFromString(kind);
-    fault.time = std::stod(time_field.substr(2));
-    fault.target = static_cast<std::size_t>(std::stoul(target_field.substr(7)));
-    fault.param = std::stod(param_field.substr(6));
-    plan.events.push_back(fault);
+    std::uint64_t target_index = 0;
+    if (!FaultKindFromString(kind, &fault.kind))
+      return fail("unknown fault kind '" + kind + "'");
+    if (!ParseFiniteDouble(time, &fault.time))
+      return fail("bad time '" + std::string(time) + "'");
+    if (!ParseUint64(target, &target_index))
+      return fail("bad target '" + std::string(target) + "'");
+    if (!ParseFiniteDouble(param, &fault.param))
+      return fail("bad param '" + std::string(param) + "'");
+    fault.target = static_cast<std::size_t>(target_index);
+    plan->events.push_back(fault);
   }
-  return plan;
+  return true;
 }
 
 std::vector<SimFault> CompileForDes(const FaultPlan& plan) {

@@ -34,8 +34,8 @@ enum class FaultKind {
 
 // Stable token used by the plan/repro text format ("crash", "offer_drop"...).
 std::string ToString(FaultKind kind);
-// Inverse of ToString; TSF_CHECK-fails on an unknown token.
-FaultKind FaultKindFromString(const std::string& token);
+// Inverse of ToString; false on an unknown token.
+bool FaultKindFromString(const std::string& token, FaultKind* kind);
 
 // True for the machine-targeted kinds shared by both substrates
 // (crash/restart/task-failure); false for the Mesos-only framework kinds.
@@ -87,9 +87,13 @@ std::string ValidateFaultPlan(const FaultPlan& plan, std::size_t num_machines,
 
 // One event per line: "fault <kind> t=<time> target=<n> param=<p>".
 std::string SerializeFaultPlan(const FaultPlan& plan);
-// Parses the SerializeFaultPlan format; TSF_CHECK-fails on malformed input.
-// Ignores blank lines and lines not starting with "fault".
-FaultPlan ParseFaultPlan(const std::string& text);
+// Parses the SerializeFaultPlan format. Ignores blank lines and lines not
+// starting with "fault", so a repro file parses as its own plan. Returns
+// false and sets *error to "line <n>: <defect>" on a malformed fault line:
+// a missing or extra field, an unknown kind, or a number with trailing junk,
+// out of range or not finite.
+bool ParseFaultPlan(const std::string& text, FaultPlan* plan,
+                    std::string* error);
 
 // Substrate compilers. CompileForDes TSF_CHECK-fails on Mesos-only kinds.
 std::vector<SimFault> CompileForDes(const FaultPlan& plan);

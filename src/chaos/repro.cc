@@ -4,6 +4,7 @@
 
 #include "chaos/scenario.h"
 #include "util/check.h"
+#include "util/text.h"
 
 namespace tsf::chaos {
 namespace {
@@ -14,12 +15,21 @@ bool IsDesSubstrate(const std::string& substrate) {
   return substrate == "des" || substrate == "des-uniform";
 }
 
-mesos::InjectedBug BugFromString(const std::string& name) {
-  if (name == "none") return mesos::InjectedBug::kNone;
-  if (name == "leak_task_on_crash")
-    return mesos::InjectedBug::kLeakTaskOnCrash;
-  TSF_CHECK(false) << "unknown injected bug '" << name << "'";
-  return mesos::InjectedBug::kNone;
+bool BugFromString(const std::string& name, mesos::InjectedBug* bug) {
+  if (name == "none") {
+    *bug = mesos::InjectedBug::kNone;
+  } else if (name == "leak_task_on_crash") {
+    *bug = mesos::InjectedBug::kLeakTaskOnCrash;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool IsOnlinePolicy(const std::string& name) {
+  for (const OnlinePolicy& policy : AllOnlinePolicies())
+    if (policy.name == name) return true;
+  return false;
 }
 
 // Scoped arm/disarm so a replay cannot leave the bug switch set.
@@ -51,44 +61,59 @@ std::string SerializeRepro(const Repro& repro) {
   return out.str();
 }
 
-Repro ParseRepro(const std::string& text) {
+bool ParseRepro(const std::string& text, Repro* repro, std::string* error) {
+  *repro = Repro{};
   std::istringstream in(text);
   std::string line;
-  TSF_CHECK(std::getline(in, line) && line == kHeader)
-      << "not a chaos repro file (expected '" << kHeader << "')";
-  Repro repro;
-  std::string plan_text;
+  std::size_t line_number = 1;
+  const auto fail = [&](const std::string& message) {
+    *error = "line " + std::to_string(line_number) + ": " + message;
+    return false;
+  };
+  if (!std::getline(in, line) || line != kHeader)
+    return fail(std::string("not a chaos repro file (expected '") + kHeader +
+                "')");
   while (std::getline(in, line)) {
+    ++line_number;
     std::istringstream fields(line);
-    std::string head;
+    std::string head, value;
     fields >> head;
-    if (head.empty()) continue;
-    if (head == "substrate") {
-      fields >> repro.substrate;
-    } else if (head == "seed") {
-      fields >> repro.scenario_seed;
-    } else if (head == "policy") {
-      fields >> repro.policy;
-    } else if (head == "bug") {
-      fields >> repro.injected_bug;
-    } else if (head == "violation") {
+    if (head.empty() || head == "fault") continue;  // faults: ParseFaultPlan
+    if (head == "violation") {
       // The remainder of the line, spaces included.
-      std::getline(fields >> std::ws, repro.violation);
-    } else if (head == "fault") {
-      plan_text += line;
-      plan_text += "\n";
+      std::getline(fields >> std::ws, repro->violation);
+      continue;
+    }
+    fields >> value;
+    if (head == "substrate") {
+      repro->substrate = value;
+      if (!IsDesSubstrate(value) && value != "mesos")
+        return fail("unknown substrate '" + value + "'");
+    } else if (head == "seed") {
+      if (!ParseUint64(value, &repro->scenario_seed))
+        return fail("bad seed '" + value + "'");
+    } else if (head == "policy") {
+      repro->policy = value;
+    } else if (head == "bug") {
+      mesos::InjectedBug bug = mesos::InjectedBug::kNone;
+      if (!BugFromString(value, &bug))
+        return fail("unknown injected bug '" + value + "'");
+      repro->injected_bug = value;
     } else {
-      TSF_CHECK(false) << "unknown repro field '" << head << "'";
+      return fail("unknown repro field '" + head + "'");
     }
   }
-  TSF_CHECK(IsDesSubstrate(repro.substrate) || repro.substrate == "mesos")
-      << "repro missing/invalid substrate";
-  repro.plan = ParseFaultPlan(plan_text);
-  return repro;
+  if (repro->substrate.empty()) return fail("repro has no substrate line");
+  if (IsDesSubstrate(repro->substrate) && !IsOnlinePolicy(repro->policy))
+    return fail("unknown policy '" + repro->policy + "'");
+  return ParseFaultPlan(text, &repro->plan, error);
 }
 
 ScenarioReport ReplayReproReport(const Repro& repro) {
-  const ScopedInjectedBug armed(BugFromString(repro.injected_bug));
+  mesos::InjectedBug bug = mesos::InjectedBug::kNone;
+  TSF_CHECK(BugFromString(repro.injected_bug, &bug))
+      << "unknown injected bug '" << repro.injected_bug << "'";
+  const ScopedInjectedBug armed(bug);
   if (IsDesSubstrate(repro.substrate)) {
     const Workload workload =
         repro.substrate == "des-uniform"

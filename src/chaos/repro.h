@@ -35,8 +35,11 @@ struct Repro {
 };
 
 std::string SerializeRepro(const Repro& repro);
-// Parses the SerializeRepro format; TSF_CHECK-fails on malformed input.
-Repro ParseRepro(const std::string& text);
+// Parses the SerializeRepro format. Returns false and sets *error to
+// "line <n>: <defect>" on malformed input: a bad header, an unknown field,
+// substrate, injected bug or DES policy, a bad seed, a missing substrate
+// line, or a malformed fault line (ParseFaultPlan).
+bool ParseRepro(const std::string& text, Repro* repro, std::string* error);
 
 // Rebuilds the scenario from the seed, arms the injected bug (and disarms
 // it afterwards), runs the plan, and returns the full scenario report: the

@@ -141,9 +141,9 @@ LoadReport RunDesLoad(const DriverConfig& config, const OnlinePolicy& policy,
       case SimStreamEvent::Kind::kPlace: {
         const double ttp_ms =
             (event.time - pending_since.at(event.task)) * kMsPerSecond;
-        report.all.ttp_ms.Record(ttp_ms);
+        report.all.ttp_ms.Add(ttp_ms);
         report.per_class.at(stream.class_of.at(job_of.at(event.task)))
-            .ttp_ms.Record(ttp_ms);
+            .ttp_ms.Add(ttp_ms);
         ++report.placements;
         sampler.Apply(-1);
         break;
@@ -232,9 +232,9 @@ LoadReport RunMesosLoad(const DriverConfig& config,
         TSF_CHECK(!queue.empty()) << "launch with no pending task";
         const double ttp_ms = (event.time - queue.front()) * kMsPerSecond;
         queue.pop_front();
-        report.all.ttp_ms.Record(ttp_ms);
+        report.all.ttp_ms.Add(ttp_ms);
         report.per_class.at(stream.class_of.at(event.framework))
-            .ttp_ms.Record(ttp_ms);
+            .ttp_ms.Add(ttp_ms);
         ++report.placements;
         sampler.Apply(-1);
         break;

@@ -7,18 +7,15 @@
 // driver reuses it as the measurement tap. Per-task time-to-placement is the
 // virtual time between a task becoming pending (job arrival, or a
 // fault-driven requeue) and its (re)placement; queue depth is the number of
-// pending tasks at each sample instant. Deriving both offline from the
-// stream keeps the substrates untouched and the metrics exact — the
-// in-substrate TSF_HISTOGRAM_RECORD sites are the live-process view of the
-// same quantities and are compiled out under -DTSF_TELEMETRY=OFF.
+// pending tasks at each sample instant. This is the only place either is
+// computed: deriving both from the stream keeps the substrates untouched,
+// and holding every sample makes the quantiles exact order statistics.
 //
-// Latencies are recorded in *milliseconds*: the log-bucketed histogram's
-// bucket 0 swallows everything below 1, so sub-second waits — the common
-// case at low load — must be scaled up to keep their quantile resolution.
+// Latencies are in milliseconds, the unit BENCH_slo.json reports.
 //
 // Every metric except wall_seconds is derived from virtual time and is
-// therefore a deterministic function of (config, policy, faults) — the SLO
-// regression gate can compare it across machines bit for bit.
+// therefore a deterministic function of (config, policy, faults), so the
+// golden tests can pin it across machines bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +26,7 @@
 #include "load/stream.h"
 #include "mesos/mesos.h"
 #include "sim/des.h"
-#include "telemetry/metrics.h"
+#include "stats/cdf.h"
 
 namespace tsf::load {
 
@@ -40,12 +37,12 @@ struct QueueSample {
   long depth = 0;
 };
 
-// Time-to-placement distribution for one aggregation bucket, in ms.
-// telemetry::HistogramSnapshot is the always-compiled data API: Quantile()
-// gives p50/p95/p99 with the documented <2x log-bucket error bound.
+// Time-to-placement samples for one aggregation bucket, in ms. Quantile()
+// is the exact nearest-rank order statistic; a mix class that drew no job
+// has an empty series (count() == 0), which has no quantiles.
 struct LatencySeries {
   std::string label;  // "all" or a mix-class name
-  telemetry::HistogramSnapshot ttp_ms;
+  EmpiricalCdf ttp_ms;
 };
 
 struct DriverConfig {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -71,20 +70,6 @@ struct FrameworkState {
   long pending_rescinds = 0;
   double blackout_until = -std::numeric_limits<double>::infinity();
   FrameworkStats stats;
-#if defined(TSF_TELEMETRY)
-  // Per-framework offer outcome counters (mesos.offers.<name>.accepted /
-  // .declined); resolved once at registration, incremented when enabled.
-  telemetry::Counter* accepted_counter = nullptr;
-  telemetry::Counter* declined_counter = nullptr;
-  // Per-framework time-to-placement histogram (mesos.ttp_ms.<name>, in ms)
-  // and the pending-since FIFO behind it: registration enqueues one entry
-  // per task, a launch consumes the oldest, kills/failures re-enqueue.
-  // Entries arrive in nondecreasing time order, so FIFO matching is exact
-  // (the master does not preserve task identity across relaunches).
-  // Maintained only while telemetry is enabled.
-  telemetry::Histogram* ttp_hist = nullptr;
-  std::deque<double> ttp_pending_since;
-#endif
 
   bool Active() const {
     return registered && finished < spec.num_tasks;
@@ -245,14 +230,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
     fw.stats.name = fw.spec.name;
     fw.stats.start_time = fw.spec.start_time;
     fw.stats.first_task_time = std::numeric_limits<double>::infinity();
-#if defined(TSF_TELEMETRY)
-    fw.accepted_counter = &telemetry::Registry::Get().GetCounter(
-        "mesos.offers." + fw.spec.name + ".accepted");
-    fw.declined_counter = &telemetry::Registry::Get().GetCounter(
-        "mesos.offers." + fw.spec.name + ".declined");
-    fw.ttp_hist = &telemetry::Registry::Get().GetHistogram(
-        "mesos.ttp_ms." + fw.spec.name);
-#endif
   }
 
   // How many frameworks may ever use each slave. The allocator steers a
@@ -456,9 +433,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
         // The framework implicitly declines: nothing it may use fits.
         ++stats.offers_declined;
         TSF_COUNTER_ADD("mesos.offers.declined", 1);
-#if defined(TSF_TELEMETRY)
-        if (telemetry::Enabled()) fw.declined_counter->Add(1);
-#endif
         continue;  // out for the rest of this cycle
       }
       const std::size_t slave = order[fit];
@@ -474,17 +448,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
       fw.UpdateKey();
       ++stats.offers_accepted;
       TSF_COUNTER_ADD("mesos.offers.accepted", 1);
-#if defined(TSF_TELEMETRY)
-      if (telemetry::Enabled()) {
-        fw.accepted_counter->Add(1);
-        if (!fw.ttp_pending_since.empty()) {
-          const double ttp_ms = (now - fw.ttp_pending_since.front()) * 1000.0;
-          fw.ttp_pending_since.pop_front();
-          TSF_HISTOGRAM_RECORD("mesos.time_to_placement_ms", ttp_ms);
-          fw.ttp_hist->Record(ttp_ms);
-        }
-      }
-#endif
       fw.stats.first_task_time = std::min(fw.stats.first_task_time, now);
       const double runtime = fw.spec.mean_runtime *
                              rng.Uniform(1.0 - fw.spec.runtime_jitter,
@@ -528,13 +491,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
         case Event::Kind::kRegister:
           frameworks[event.framework].registered = true;
           add_candidate(event.framework);
-#if defined(TSF_TELEMETRY)
-          if (telemetry::Enabled()) {
-            FrameworkState& rfw = frameworks[event.framework];
-            for (long t = 0; t < rfw.spec.num_tasks; ++t)
-              rfw.ttp_pending_since.push_back(now);
-          }
-#endif
           emit(MasterEvent::Kind::kRegister, now, event.framework, 0, 0);
           state_changed = true;
           TSF_TRACE_INSTANT("mesos", "register");
@@ -593,10 +549,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
                 --vfw.launched;  // re-enters the pending pool
                 vfw.UpdateKey();
                 add_candidate(rt.framework);
-#if defined(TSF_TELEMETRY)
-                if (telemetry::Enabled())
-                  vfw.ttp_pending_since.push_back(now);
-#endif
                 emit(MasterEvent::Kind::kKill, now, rt.framework, rt.task, s);
               }
               on.clear();
@@ -638,10 +590,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
               --vfw.launched;  // re-enters the pending pool
               vfw.UpdateKey();
               add_candidate(rt.framework);
-#if defined(TSF_TELEMETRY)
-              if (telemetry::Enabled())
-                vfw.ttp_pending_since.push_back(now);
-#endif
               free[s] += vfw.spec.demand;
               refresh(s);
               emit(MasterEvent::Kind::kFail, now, rt.framework, rt.task, s);

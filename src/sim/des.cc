@@ -254,26 +254,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
   double now = 0.0;
   std::size_t tasks_placed = 0;
 
-#if defined(TSF_TELEMETRY)
-  // Live time-to-placement instrumentation (virtual seconds between a slot
-  // becoming pending and its placement, recorded in ms — the log buckets
-  // start at 1, so sub-second waits need the scale-up). The offline load
-  // driver (load/driver.h) derives the same quantity from the event stream;
-  // this is the in-process view. The per-slot state is only materialized
-  // when telemetry is enabled, so the disabled path pays one empty() check.
-  std::vector<double> ttp_pending_since;
-  telemetry::Histogram* ttp_policy_hist = nullptr;
-  if (telemetry::Enabled()) {
-    ttp_pending_since.resize(total_tasks);
-    for (std::size_t j = 0; j < workload.jobs.size(); ++j)
-      for (std::size_t s = 0; s < workload.jobs[j].task_runtimes.size(); ++s)
-        ttp_pending_since[job_task_offset[j] + s] =
-            workload.jobs[j].spec.arrival_time;
-    ttp_policy_hist = &telemetry::Registry::Get().GetHistogram(
-        "des.time_to_placement_ms." + policy.name);
-  }
-#endif
-
   // Places one task of job j on machine m at `now`: records metrics and
   // enqueues its completion. The scheduler has already debited resources.
   auto record_placement = [&](std::size_t j, MachineId m) {
@@ -303,13 +283,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
     result.jobs[j].first_schedule = std::min(result.jobs[j].first_schedule, now);
     const std::uint32_t generation = chaos ? attempt[slot] : 0;
     if (chaos) running_on[m].push_back(static_cast<std::uint32_t>(slot));
-#if defined(TSF_TELEMETRY)
-    if (!ttp_pending_since.empty()) {
-      const double ttp_ms = (now - ttp_pending_since[slot]) * 1000.0;
-      TSF_HISTOGRAM_RECORD("des.time_to_placement_ms", ttp_ms);
-      ttp_policy_hist->Record(ttp_ms);
-    }
-#endif
     emit(SimStreamEvent::Kind::kPlace, now, j, slot, m, generation);
     events.Push(task.finish,
                 FinishEvent{static_cast<std::uint32_t>(j),
@@ -474,9 +447,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       // pool; the finish event already queued for it dies by generation.
       auto requeue_task = [&](std::uint32_t slot) {
         ++attempt[slot];
-#if defined(TSF_TELEMETRY)
-        if (!ttp_pending_since.empty()) ttp_pending_since[slot] = now;
-#endif
         const std::size_t j = result.tasks[slot].job;
         scheduler.OnTaskFinish(state[j].user, m);
         scheduler.AddPending(state[j].user, 1);

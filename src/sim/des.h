@@ -98,6 +98,8 @@ struct SimStreamEvent {
   std::uint32_t task = 0;  // global task slot
   std::uint32_t machine = 0;
   std::uint32_t attempt = 0;
+
+  bool operator==(const SimStreamEvent&) const = default;
 };
 
 // Optional observability knobs; the default runs exactly as before.

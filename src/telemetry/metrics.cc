@@ -43,21 +43,6 @@ void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   for (std::size_t b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
 }
 
-void HistogramSnapshot::Record(double value) {
-  ++buckets[Histogram::BucketIndex(value)];
-  if (count == 0) {
-    min = value;
-    max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  ++count;
-  const double delta = value - mean;
-  mean += delta / static_cast<double>(count);
-  m2 += delta * (value - mean);
-}
-
 double HistogramSnapshot::Quantile(double q) const {
   if (count == 0) return 0.0;
   if (q <= 0.0) return min;

@@ -107,13 +107,6 @@ struct HistogramSnapshot {
   // stream.
   void Merge(const HistogramSnapshot& other);
 
-  // Single-threaded accumulation for offline analysis (e.g. metrics derived
-  // from a recorded event stream): updates the moments and log-bucketed
-  // counts exactly as Histogram::Record does, minus the sharded machinery.
-  // Like FairnessSample, this is always-compiled data API, not
-  // instrumentation — it needs no TSF_TELEMETRY guard.
-  void Record(double value);
-
   // Estimated q-quantile (q in [0, 1]) from the log-bucketed counts: finds
   // the bucket holding rank q*count, linearly interpolates across that
   // bucket's [lower, upper) span, and clamps into the observed [min, max].

@@ -1,11 +1,11 @@
 #include "trace/io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/text.h"
 
 namespace tsf::trace {
 namespace {
@@ -44,12 +44,6 @@ bool SplitIds(const std::string& text, std::vector<std::uint64_t>* ids,
     }
   }
   return true;
-}
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  return buffer;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,14 @@ using Kind = StreamEvent::Kind;
 
 // --- fault plans ------------------------------------------------------------
 
+FaultPlan RoundTrip(const FaultPlan& plan) {
+  FaultPlan parsed;
+  std::string error;
+  EXPECT_TRUE(ParseFaultPlan(SerializeFaultPlan(plan), &parsed, &error))
+      << error;
+  return parsed;
+}
+
 TEST(FaultPlanTest, RandomDesPlansAreWellFormedAndRoundTrip) {
   FaultPlanShape shape;
   shape.num_machines = 4;
@@ -29,8 +38,7 @@ TEST(FaultPlanTest, RandomDesPlansAreWellFormedAndRoundTrip) {
     const FaultPlan plan = RandomFaultPlan(shape, seed);
     EXPECT_EQ(ValidateFaultPlan(plan, shape.num_machines, 0), "")
         << "seed " << seed;
-    EXPECT_EQ(ParseFaultPlan(SerializeFaultPlan(plan)), plan)
-        << "seed " << seed;
+    EXPECT_EQ(RoundTrip(plan), plan) << "seed " << seed;
     // DES plans must compile (no Mesos-only kinds generated).
     EXPECT_EQ(CompileForDes(plan).size(), plan.events.size());
   }
@@ -46,8 +54,7 @@ TEST(FaultPlanTest, RandomMesosPlansAreWellFormedAndRoundTrip) {
     EXPECT_EQ(ValidateFaultPlan(plan, shape.num_machines, shape.num_frameworks),
               "")
         << "seed " << seed;
-    EXPECT_EQ(ParseFaultPlan(SerializeFaultPlan(plan)), plan)
-        << "seed " << seed;
+    EXPECT_EQ(RoundTrip(plan), plan) << "seed " << seed;
     EXPECT_EQ(CompileForMesos(plan).size(), plan.events.size());
     for (const FaultSpec& event : plan.events)
       EXPECT_GE(event.time, shape.earliest);
@@ -121,9 +128,97 @@ TEST(FaultPlanTest, KindTokensRoundTrip) {
        {FaultKind::kMachineCrash, FaultKind::kMachineRestart,
         FaultKind::kTaskFailure, FaultKind::kOfferDrop,
         FaultKind::kOfferRescind, FaultKind::kDeclineTimeout,
-        FaultKind::kFrameworkDisconnect, FaultKind::kFrameworkReregister})
-    EXPECT_EQ(FaultKindFromString(ToString(kind)), kind);
+        FaultKind::kFrameworkDisconnect, FaultKind::kFrameworkReregister}) {
+    FaultKind parsed = FaultKind::kMachineCrash;
+    EXPECT_TRUE(FaultKindFromString(ToString(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
 }
+
+// Malformed fault plans and repro files are rejected with an error that
+// names the offending line; none of them may throw or abort.
+struct MalformedInput {
+  const char* name;
+  bool repro;  // ParseRepro if true, else ParseFaultPlan
+  const char* text;
+  const char* error;  // expected substring of the error
+};
+
+// Prints the case by name: gtest's fallback dumps the struct's bytes, and
+// its pointers, which move from run to run, would end up in ctest names.
+void PrintTo(const MalformedInput& input, std::ostream* os) {
+  *os << input.name;
+}
+
+class MalformedInputTest : public testing::TestWithParam<MalformedInput> {};
+
+TEST_P(MalformedInputTest, IsRejectedWithItsLine) {
+  const MalformedInput& input = GetParam();
+  std::string error;
+  if (input.repro) {
+    Repro repro;
+    EXPECT_FALSE(ParseRepro(input.text, &repro, &error));
+  } else {
+    FaultPlan plan;
+    EXPECT_FALSE(ParseFaultPlan(input.text, &plan, &error));
+  }
+  EXPECT_NE(error.find(input.error), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChaosText, MalformedInputTest,
+    testing::Values(
+        MalformedInput{"time_not_a_number", false,
+                       "fault crash t=abc target=0 param=0\n",
+                       "line 1: bad time 'abc'"},
+        MalformedInput{"target_overflows", false,
+                       "# plan\nfault task_failure t=2 "
+                       "target=99999999999999999999 param=0\n",
+                       "line 2: bad target"},
+        MalformedInput{"unknown_kind", false,
+                       "fault meltdown t=1 target=0 param=0\n",
+                       "line 1: unknown fault kind 'meltdown'"},
+        MalformedInput{"time_infinite", false,
+                       "fault crash t=inf target=0 param=0\n",
+                       "line 1: bad time 'inf'"},
+        MalformedInput{"time_nan", false,
+                       "fault crash t=nan target=0 param=0\n",
+                       "line 1: bad time 'nan'"},
+        MalformedInput{"trailing_junk", false,
+                       "fault crash t=1.5s target=0 param=0\n",
+                       "line 1: bad time '1.5s'"},
+        MalformedInput{"negative_target", false,
+                       "fault crash t=1 target=-1 param=0\n",
+                       "line 1: bad target '-1'"},
+        MalformedInput{"missing_field", false, "fault crash t=1 target=0\n",
+                       "line 1: malformed fault line"},
+        MalformedInput{"extra_field", false,
+                       "fault crash t=1 target=0 param=0 again\n",
+                       "line 1: malformed fault line"},
+        MalformedInput{"repro_unknown_field", true,
+                       "tsf-chaos-repro v1\nsubstrate des\ncolour red\n",
+                       "line 3: unknown repro field 'colour'"},
+        MalformedInput{"repro_bad_header", true, "tsf-chaos-repro v9\n",
+                       "line 1: not a chaos repro file"},
+        MalformedInput{"repro_bad_seed", true,
+                       "tsf-chaos-repro v1\nsubstrate des\nseed 12ab\n",
+                       "line 3: bad seed '12ab'"},
+        MalformedInput{"repro_unknown_bug", true,
+                       "tsf-chaos-repro v1\nsubstrate mesos\nbug gremlin\n",
+                       "line 3: unknown injected bug 'gremlin'"},
+        MalformedInput{"repro_unknown_policy", true,
+                       "tsf-chaos-repro v1\nsubstrate des\npolicy LIFO\n",
+                       "unknown policy 'LIFO'"},
+        MalformedInput{"repro_no_substrate", true,
+                       "tsf-chaos-repro v1\nseed 3\n", "no substrate line"},
+        MalformedInput{"repro_bad_fault", true,
+                       "tsf-chaos-repro v1\nsubstrate des\nseed 1\n"
+                       "fault crash t=1 target=0 param=0\n"
+                       "fault restart t=abc target=0 param=0\n",
+                       "line 5: bad time 'abc'"}),
+    [](const testing::TestParamInfo<MalformedInput>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // --- invariant checkers -----------------------------------------------------
 
@@ -421,7 +516,10 @@ TEST(ReproTest, SerializeParseRoundTrips) {
   shape.num_machines = 3;
   shape.num_frameworks = 2;
   repro.plan = RandomFaultPlan(shape, 9);
-  EXPECT_EQ(ParseRepro(SerializeRepro(repro)), repro);
+  Repro parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRepro(SerializeRepro(repro), &parsed, &error)) << error;
+  EXPECT_EQ(parsed, repro);
 }
 
 TEST(ReproTest, DesReproRoundTripsWithEmptyViolation) {
@@ -432,7 +530,10 @@ TEST(ReproTest, DesReproRoundTripsWithEmptyViolation) {
   FaultPlanShape shape;
   shape.num_machines = 2;
   repro.plan = RandomFaultPlan(shape, 4);
-  EXPECT_EQ(ParseRepro(SerializeRepro(repro)), repro);
+  Repro parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRepro(SerializeRepro(repro), &parsed, &error)) << error;
+  EXPECT_EQ(parsed, repro);
 }
 
 // --- scenario generators ----------------------------------------------------

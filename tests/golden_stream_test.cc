@@ -1,9 +1,10 @@
 // Golden determinism tests: the placement streams of fixed (policy, seed)
 // chaos scenarios are pinned by FNV-1a hash in tests/golden/, plus one
-// fully-expanded stream for first-divergence diffing and the Mesos master's
-// streams on a 1000-slave fleet. Any change to scheduler tie-breaking, event
-// ordering, or fault semantics shows up here as an exact diff instead of a
-// silent behavior shift.
+// fully-expanded stream for first-divergence diffing, the Mesos master's
+// streams on a 1000-slave fleet, and the SLO observatory's rate-1 lanes
+// with their exact time-to-placement quantiles. Any change to scheduler
+// tie-breaking, event ordering, or fault semantics shows up here as an
+// exact diff instead of a silent behavior shift.
 //
 // To bless intentional changes:  TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream
 // (rewrites the files under tests/golden/, then commit the diff).
@@ -22,6 +23,7 @@
 #include "chaos/fault_plan.h"
 #include "chaos/scenario.h"
 #include "load/driver.h"
+#include "util/text.h"
 
 namespace tsf::chaos {
 namespace {
@@ -38,6 +40,40 @@ std::string HashHex(std::uint64_t hash) {
   std::snprintf(buffer, sizeof(buffer), "%016llx",
                 static_cast<unsigned long long>(hash));
   return buffer;
+}
+
+// Lane goldens hold one "<lane> <fields...>" line per lane below '#'
+// comment lines. `lines` maps each lane to its full line.
+void WriteLaneGolden(const char* path, const std::string& fields,
+                     const std::map<std::string, std::string>& lines) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+  out << "# lane -> " << fields << ";\n"
+      << "# regenerate with TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream\n";
+  for (const auto& [name, line] : lines) out << line << "\n";
+}
+
+void ExpectLaneGolden(const char* path,
+                      const std::map<std::string, std::string>& lines) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path
+                         << "; run once with TSF_UPDATE_GOLDEN=1";
+  std::map<std::string, std::string> golden;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line.front() == '#') continue;
+    golden[line.substr(0, line.find(' '))] = line;
+  }
+  EXPECT_EQ(golden.size(), lines.size());
+  for (const auto& [name, lane] : lines) {
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      ADD_FAILURE() << "no golden entry for '" << name << "'";
+      continue;
+    }
+    EXPECT_EQ(lane, it->second)
+        << "a deliberate behavior change needs TSF_UPDATE_GOLDEN=1";
+  }
 }
 
 // key -> hash, where key is "des <policy> seed=<s>", "des-collapsed
@@ -270,27 +306,18 @@ constexpr const char* kFleetFile = TSF_GOLDEN_DIR "/mesos_fleet1000.txt";
 constexpr const char* kFleetPlanFile = TSF_GOLDEN_DIR "/mesos_fleet1000.plan";
 constexpr std::size_t kFleetSlaves = 1000;
 
-struct FleetLane {
-  std::string hash;
-  long rounds = 0;
-  long declined = 0;
-};
-
-std::string FleetLaneLine(const std::string& name, const FleetLane& lane) {
-  return name + " " + lane.hash + " rounds=" + std::to_string(lane.rounds) +
-         " declined=" + std::to_string(lane.declined);
-}
-
 TEST(GoldenStreamTest, MesosFleetStreamsMatchGolden) {
   std::ifstream plan_in(kFleetPlanFile);
   ASSERT_TRUE(plan_in.good()) << "missing " << kFleetPlanFile;
   std::stringstream plan_text;
   plan_text << plan_in.rdbuf();
-  const FaultPlan plan = ParseFaultPlan(plan_text.str());
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan(plan_text.str(), &plan, &error)) << error;
   ASSERT_EQ(ValidateFaultPlan(plan, kFleetSlaves, 0), "");
   const std::vector<mesos::Fault> faults = CompileForMesos(plan);
 
-  std::map<std::string, FleetLane> lanes;
+  std::map<std::string, std::string> lanes;
   for (const bool faulted : {false, true})
     for (const int rate : {12, 20})
       for (const mesos::AllocatorPolicy policy :
@@ -307,8 +334,9 @@ TEST(GoldenStreamTest, MesosFleetStreamsMatchGolden) {
             std::string("mesos_") +
             (policy == mesos::AllocatorPolicy::kTsf ? "tsf" : "drf") + "_r" +
             std::to_string(rate) + (faulted ? "_faults" : "");
-        lanes[name] = FleetLane{"0x" + HashHex(report.placement_hash),
-                                stats.rounds, stats.offers_declined};
+        lanes[name] = name + " 0x" + HashHex(report.placement_hash) +
+                      " rounds=" + std::to_string(stats.rounds) +
+                      " declined=" + std::to_string(stats.offers_declined);
         if (UpdateMode()) continue;
         // One fit query per offer that reaches a framework: it launches a
         // task or declines.
@@ -324,34 +352,59 @@ TEST(GoldenStreamTest, MesosFleetStreamsMatchGolden) {
       }
 
   if (UpdateMode()) {
-    std::ofstream out(kFleetFile);
-    ASSERT_TRUE(out.good()) << "cannot write " << kFleetFile;
-    out << "# lane -> load-driver placement hash, offer rounds, declines;\n"
-        << "# regenerate with TSF_UPDATE_GOLDEN=1 ctest -R GoldenStream\n";
-    for (const auto& [name, lane] : lanes)
-      out << FleetLaneLine(name, lane) << "\n";
+    WriteLaneGolden(kFleetFile,
+                    "load-driver placement hash, offer rounds, declines",
+                    lanes);
     GTEST_SKIP() << "fleet goldens rewritten (" << lanes.size() << " lanes)";
   }
+  ExpectLaneGolden(kFleetFile, lanes);
+}
 
-  std::ifstream in(kFleetFile);
-  ASSERT_TRUE(in.good()) << "missing " << kFleetFile
-                         << "; run once with TSF_UPDATE_GOLDEN=1";
-  std::map<std::string, std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    golden[line.substr(0, line.find(' '))] = line;
-  }
-  EXPECT_EQ(golden.size(), lanes.size());
-  for (const auto& [name, lane] : lanes) {
-    const auto it = golden.find(name);
-    if (it == golden.end()) {
-      ADD_FAILURE() << "no golden entry for '" << name << "'";
-      continue;
+// The SLO observatory's rate-1 lanes: slo_report's default sweep (60
+// machines, 60 s Poisson window, stream seed 1) on both substrates under
+// TSF and DRF. Each lane pins the load driver's placement hash, the
+// makespan, and the exact p50/p95/p99 time-to-placement over every task,
+// all written in round-trip form. The lanes are fault-free, so each must
+// drain with one placement per task and no requeue.
+constexpr const char* kSloFile = TSF_GOLDEN_DIR "/slo_rate1.txt";
+
+TEST(GoldenStreamTest, SloRateOneLanesMatchGolden) {
+  std::map<std::string, std::string> lanes;
+  for (const bool on_mesos : {false, true})
+    for (const bool tsf : {true, false}) {
+      load::DriverConfig config;
+      config.stream.rate = 1.0;
+      const load::LoadReport report =
+          on_mesos ? load::RunMesosLoad(config,
+                                        tsf ? mesos::AllocatorPolicy::kTsf
+                                            : mesos::AllocatorPolicy::kDrf)
+                   : load::RunDesLoad(config, tsf ? OnlinePolicy::Tsf()
+                                                  : OnlinePolicy::Drf());
+      const std::string name = std::string(on_mesos ? "mesos" : "des") +
+                               (tsf ? "_tsf" : "_drf") + "_r1";
+      const EmpiricalCdf& ttp = report.all.ttp_ms;
+      EXPECT_EQ(report.placements, report.total_tasks) << name;
+      EXPECT_EQ(report.requeues, 0u) << name;
+      ASSERT_EQ(ttp.count(), report.total_tasks) << name;
+      const double p50 = ttp.Quantile(0.50);
+      const double p95 = ttp.Quantile(0.95);
+      const double p99 = ttp.Quantile(0.99);
+      EXPECT_LE(p50, p95) << name;
+      EXPECT_LE(p95, p99) << name;
+      lanes[name] = name + " 0x" + HashHex(report.placement_hash) +
+                    " makespan=" + FormatDouble(report.makespan) +
+                    " p50=" + FormatDouble(p50) + " p95=" + FormatDouble(p95) +
+                    " p99=" + FormatDouble(p99);
     }
-    EXPECT_EQ(FleetLaneLine(name, lane), it->second)
-        << "a deliberate behavior change needs TSF_UPDATE_GOLDEN=1";
+
+  if (UpdateMode()) {
+    WriteLaneGolden(kSloFile,
+                    "placement hash, makespan, exact all-task TTP "
+                    "p50/p95/p99 (ms)",
+                    lanes);
+    GTEST_SKIP() << "SLO goldens rewritten (" << lanes.size() << " lanes)";
   }
+  ExpectLaneGolden(kSloFile, lanes);
 }
 
 }  // namespace

@@ -47,22 +47,24 @@ TEST(Integration, SynthesizedWorkloadRunsUnderEveryPolicy) {
 
 TEST(Integration, WorkloadSurvivesSerializationIntoSimulation) {
   // synthesize -> save -> load -> simulate must equal synthesize -> simulate
-  // exactly (bit-identical schedules), proving the text format is lossless
-  // for everything the scheduler reads.
+  // exactly (bit-identical placement streams), proving the text format is
+  // lossless for everything the scheduler reads.
   const Workload original = trace::SynthesizeGoogleWorkload(SmallTraceConfig(5));
   Workload loaded;
   std::string error;
   ASSERT_TRUE(
       trace::WorkloadFromText(trace::WorkloadToText(original), &loaded, &error))
       << error;
-  const SimResult a = Simulate(original, OnlinePolicy::Tsf());
-  const SimResult b = Simulate(loaded, OnlinePolicy::Tsf());
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t t = 0; t < a.tasks.size(); ++t) {
-    EXPECT_EQ(a.tasks[t].job, b.tasks[t].job);
-    EXPECT_NEAR(a.tasks[t].schedule, b.tasks[t].schedule, 1e-6);
-    EXPECT_NEAR(a.tasks[t].finish, b.tasks[t].finish, 1e-6);
-  }
+  std::vector<SimStreamEvent> a, b;
+  SimOptions options;
+  options.stream = &a;
+  (void)Simulate(original, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
+  options.stream = &b;
+  (void)Simulate(loaded, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a[i], b[i]) << "first divergence at event #" << i;
 }
 
 TEST(Integration, SlotSchedulerMatchesMultiResourceWhenSlotsEqualDemand) {

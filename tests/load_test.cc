@@ -4,6 +4,7 @@
 // online substrates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -135,7 +136,7 @@ TEST(LoadDriver, DesRunIsSeedDeterministic) {
   EXPECT_EQ(a.placement_hash, b.placement_hash);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.placements, b.placements);
-  EXPECT_EQ(a.all.ttp_ms.count, b.all.ttp_ms.count);
+  EXPECT_EQ(a.all.ttp_ms.count(), b.all.ttp_ms.count());
   EXPECT_EQ(a.all.ttp_ms.Quantile(0.99), b.all.ttp_ms.Quantile(0.99));
   ASSERT_EQ(a.queue_depth.size(), b.queue_depth.size());
   for (std::size_t i = 0; i < a.queue_depth.size(); ++i)
@@ -153,7 +154,7 @@ TEST(LoadDriver, MesosRunIsSeedDeterministic) {
   EXPECT_EQ(a.placement_hash, b.placement_hash);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.placements, b.placements);
-  EXPECT_EQ(a.all.ttp_ms.count, b.all.ttp_ms.count);
+  EXPECT_EQ(a.all.ttp_ms.count(), b.all.ttp_ms.count());
   EXPECT_EQ(a.all.ttp_ms.Quantile(0.99), b.all.ttp_ms.Quantile(0.99));
 
   const LoadReport other =
@@ -170,16 +171,70 @@ TEST(LoadDriver, EveryTaskIsPlacedExactlyOnceWithoutFaults) {
             : RunMesosLoad(config, mesos::AllocatorPolicy::kTsf);
     EXPECT_EQ(report.placements, report.total_tasks) << policy;
     EXPECT_EQ(report.requeues, 0u) << policy;
-    EXPECT_EQ(report.all.ttp_ms.count, report.total_tasks) << policy;
+    EXPECT_EQ(report.all.ttp_ms.count(), report.total_tasks) << policy;
     // Per-class counts partition the total.
     std::uint64_t class_total = 0;
     for (const LatencySeries& series : report.per_class)
-      class_total += series.ttp_ms.count;
+      class_total += series.ttp_ms.count();
     EXPECT_EQ(class_total, report.total_tasks) << policy;
     EXPECT_GE(report.all.ttp_ms.Quantile(0.99),
               report.all.ttp_ms.Quantile(0.5))
         << policy;
     EXPECT_GT(report.makespan, 0.0) << policy;
+  }
+}
+
+// Nearest-rank order statistic of sorted samples: rank round(q * (n - 1)).
+double NearestRank(const std::vector<double>& sorted, double q) {
+  return sorted[static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5)];
+}
+
+// The driver's time-to-placement quantiles are exact order statistics. In a
+// fault-free DES run a task's TTP is its queueing delay, so a plain
+// Simulate on the same generated stream recomputes every sample. The lane
+// is slo_report's default des_tsf_r0.5: most of its tasks place the
+// instant they arrive, so the median is exactly 0.
+TEST(LoadDriver, DesTimeToPlacementQuantilesAreExact) {
+  DriverConfig config;
+  config.stream.rate = 0.5;
+  const LoadReport report = RunDesLoad(config, OnlinePolicy::Tsf());
+
+  const GeneratedStream stream =
+      GenerateArrivals(config.stream, config.num_machines);
+  const SimResult result =
+      Simulate(Workload{MakeLoadCluster(config.num_machines), stream.jobs},
+               OnlinePolicy::Tsf());
+  std::vector<double> ttp_ms;
+  for (const TaskRecord& task : result.tasks)
+    ttp_ms.push_back(task.QueueingDelay() * 1000.0);
+  std::sort(ttp_ms.begin(), ttp_ms.end());
+
+  const EmpiricalCdf& all = report.all.ttp_ms;
+  ASSERT_EQ(all.count(), ttp_ms.size());
+  EXPECT_EQ(all.Min(), ttp_ms.front());
+  EXPECT_EQ(all.Max(), ttp_ms.back());
+  for (const double q : {0.50, 0.95, 0.99})
+    EXPECT_EQ(all.Quantile(q), NearestRank(ttp_ms, q)) << "q=" << q;
+  EXPECT_EQ(all.Quantile(0.50), 0.0);
+  EXPECT_GT(all.Quantile(0.95), 0.0);
+}
+
+// A mix class that draws no job leaves an empty series on both substrates,
+// which reports count 0 instead of reaching a quantile of nothing.
+TEST(LoadDriver, ClassWithoutJobsReportsEmptySeries) {
+  DriverConfig config = SmallConfig();
+  config.stream.mix = DefaultMix();
+  config.stream.mix.back().weight = 0.0;
+  for (const bool mesos : {false, true}) {
+    const LoadReport report =
+        mesos ? RunMesosLoad(config, mesos::AllocatorPolicy::kTsf)
+              : RunDesLoad(config, OnlinePolicy::Tsf());
+    ASSERT_EQ(report.per_class.size(), config.stream.mix.size());
+    EXPECT_EQ(report.per_class.back().ttp_ms.count(), 0u) << report.substrate;
+    EXPECT_TRUE(report.per_class.back().ttp_ms.empty()) << report.substrate;
+    EXPECT_EQ(report.all.ttp_ms.count(), report.total_tasks)
+        << report.substrate;
   }
 }
 
@@ -200,7 +255,7 @@ TEST(LoadDriver, DesFaultOverlayRequeuesAndStillDrains) {
   faults.push_back({9.0, SimFault::Kind::kMachineRestart, 0});
   const LoadReport report =
       RunDesLoad(config, OnlinePolicy::Tsf(), faults);
-  EXPECT_EQ(report.all.ttp_ms.count, report.placements);
+  EXPECT_EQ(report.all.ttp_ms.count(), report.placements);
   EXPECT_GE(report.placements, report.total_tasks);
   // Determinism holds under the fault overlay too.
   const LoadReport again =
@@ -215,7 +270,7 @@ TEST(LoadDriver, MesosFaultOverlayRequeuesAndStillDrains) {
   faults.push_back({9.0, mesos::Fault::Kind::kSlaveRestart, 0, 0.0});
   const LoadReport report =
       RunMesosLoad(config, mesos::AllocatorPolicy::kTsf, faults);
-  EXPECT_EQ(report.all.ttp_ms.count, report.placements);
+  EXPECT_EQ(report.all.ttp_ms.count(), report.placements);
   EXPECT_GE(report.placements, report.total_tasks);
   const LoadReport again =
       RunMesosLoad(config, mesos::AllocatorPolicy::kTsf, faults);

@@ -46,7 +46,12 @@ TEST(ScenarioReplayTest, EveryCommittedReproStillReproduces) {
   ASSERT_FALSE(paths.empty()) << "no repros committed under " << TSF_REPRO_DIR;
   for (const std::filesystem::path& path : paths) {
     SCOPED_TRACE(path.filename().string());
-    const Repro repro = ParseRepro(ReadFile(path));
+    Repro repro;
+    std::string error;
+    if (!ParseRepro(ReadFile(path), &repro, &error)) {
+      ADD_FAILURE() << "unparsable repro: " << error;
+      continue;
+    }
     const std::vector<Violation> violations = ReplayRepro(repro);
     ASSERT_FALSE(violations.empty()) << "repro no longer reproduces";
     const std::string expected = RecordedInvariant(repro.violation);
@@ -73,7 +78,9 @@ TEST(ScenarioReplayTest, EveryCommittedReproStillReproduces) {
 TEST(ScenarioReplayTest, LeakTaskOnCrashReproIsMinimalAndCaught) {
   const std::filesystem::path path =
       std::filesystem::path(TSF_REPRO_DIR) / "leak_task_on_crash.txt";
-  const Repro repro = ParseRepro(ReadFile(path));
+  Repro repro;
+  std::string error;
+  ASSERT_TRUE(ParseRepro(ReadFile(path), &repro, &error)) << error;
   EXPECT_EQ(repro.injected_bug, "leak_task_on_crash");
   EXPECT_LE(repro.plan.events.size(), 5u) << "shrunk plan is not minimal";
   const std::vector<Violation> violations = ReplayRepro(repro);

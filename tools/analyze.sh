@@ -25,9 +25,9 @@
 #   fuzz      chaos fuzz smoke: tools/fuzz_scenarios --smoke (seeds
 #             1-2048 of fault-injected scenarios on every lane and policy,
 #             invariants armed) plus the injected-bug harness self-test
-#   slo       sustained-load SLO smoke: slo_report rate-1 lanes on both
-#             substrates gated against BENCH_slo.json (tools/slo_gate.sh;
-#             skipped without a baseline)
+#   fma       release preset on -march=x86-64-v3 (FMA and AVX2) in
+#             build-fma/: the golden, equivalence and replay tests must
+#             pass unmodified (every target builds with -ffp-contract=off)
 #   perfbench build the repo benchmark (perfbench/) and run its self-test:
 #             every workload at toy size, traced and untraced, with its
 #             output checks (python3 perfbench/run.py --self_test)
@@ -43,7 +43,7 @@ set -u
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo_root"
 
-steps="${*:-release asan tsan tidy annotate lint determinism format bench scale fuzz slo perfbench}"
+steps="${*:-release asan tsan tidy annotate lint determinism format bench scale fuzz fma perfbench}"
 results=""
 failed=0
 
@@ -116,20 +116,17 @@ run_step() {
       build/tools/fuzz_scenarios --smoke &&
       build/tools/fuzz_scenarios --smoke --inject_bug=leak_task_on_crash
       ;;
-    slo)
-      if [ ! -f BENCH_slo.json ]; then
-        echo "no committed baseline (BENCH_slo.json); skipping slo gate"
-      else
-        cmake --preset release &&
-        cmake --build --preset release --target slo_report -j "$(nproc)" &&
-        tools/slo_gate.sh build
-      fi
+    fma)
+      cmake --preset release -B build-fma -DCMAKE_CXX_FLAGS=-march=x86-64-v3 &&
+      cmake --build build-fma -j "$(nproc)" &&
+      ctest --test-dir build-fma -j "$(nproc)" \
+        -R 'GoldenStream|OfflineGolden|EquivalenceClass|ScenarioReplay'
       ;;
     perfbench)
       python3 perfbench/run.py --self_test
       ;;
     *)
-      echo "unknown step: $step (known: release asan tsan tidy annotate lint determinism format bench scale fuzz slo perfbench)" >&2
+      echo "unknown step: $step (known: release asan tsan tidy annotate lint determinism format bench scale fuzz fma perfbench)" >&2
       return 2
       ;;
   esac

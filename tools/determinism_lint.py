@@ -32,13 +32,21 @@ that (see DESIGN.md §12 for the catalog and suppression policy):
                        site is benign.
   stale-suppression    a NOLINT-determinism marker that no longer covers any
                        hazard — burn it down instead of letting it rot.
+  build-flags          -ffast-math, -Ofast or -march=native in a CMake file
+                       (CMakeLists.txt, *.cmake, CMakePresets.json). The
+                       first two let the compiler reassociate and fuse
+                       floating-point operations; the last ties the code to
+                       the build host's FMA support. Either moves the golden
+                       streams (src/telemetry/CMakeLists.txt turns
+                       contraction off for every target).
 
 Suppression: append `// NOLINT-determinism(<reason>)` to the hazard line or
 the line directly above it. `--list-suppressions` prints the audited ledger.
 
 Scope: src/core, src/sim, src/mesos, src/load, src/lp, src/chaos — the code
 whose outputs feed placement streams, golden hashes, or committed repros.
-tools/, bench/, tests/ may read clocks and print freely.
+tools/, bench/, tests/ may read clocks and print freely. build-flags reads
+every first-party CMake file.
 
 Usage:
   tools/determinism_lint.py [--root DIR] [--format=text|github]
@@ -102,8 +110,32 @@ ADDRESS_HASH_RES = (
 )
 
 
+BUILD_FILE_DIRS = ("src", "tests", "bench", "tools", "examples", "perfbench")
+
+BUILD_FLAG_RE = re.compile(r"-ffast-math\b|-Ofast\b|-march=native\b")
+
+
+def is_build_file(path):
+    name = os.path.basename(path)
+    return (name in ("CMakeLists.txt", "CMakePresets.json")
+            or name.endswith(".cmake"))
+
+
+def load_build_files(root):
+    files = {}
+    candidates = ["CMakeLists.txt", "CMakePresets.json"] + list(
+        lint_common.walk_sources(root, BUILD_FILE_DIRS, {".txt", ".cmake"}))
+    for rel in candidates:
+        path = os.path.join(root, rel)
+        if is_build_file(rel) and os.path.isfile(path):
+            with open(path, encoding="utf-8") as f:
+                files[rel] = f.read()
+    return files
+
+
 def in_scope(path):
-    return any(path.startswith(d) for d in SCOPE_DIRS)
+    return (any(path.startswith(d) for d in SCOPE_DIRS)
+            and not is_build_file(path))
 
 
 # ---------------------------------------------------------- suppressions --
@@ -274,6 +306,25 @@ def rule_address_hash(files):
     return findings
 
 
+def rule_build_flags(files):
+    findings = []
+    for path, text in sorted(files.items()):
+        if not is_build_file(path):
+            continue
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not path.endswith(".json"):
+                line = line.split("#", 1)[0]  # CMake comment
+            m = BUILD_FLAG_RE.search(line)
+            if m:
+                findings.append(Finding(
+                    "build-flags", path, lineno,
+                    f"`{m.group(0)}` in a build file — it lets the compiler "
+                    "reassociate or fuse floating-point operations (or "
+                    "target the build host's FMA), so placement streams "
+                    "stop matching the goldens"))
+    return findings
+
+
 HAZARD_RULES = (
     rule_unordered_iteration,
     rule_nondet_source,
@@ -335,7 +386,7 @@ def rule_suppression_hygiene(files):
     return findings
 
 
-RULES = HAZARD_RULES + (rule_suppression_hygiene,)
+RULES = HAZARD_RULES + (rule_suppression_hygiene, rule_build_flags)
 
 
 # ------------------------------------------------------------- self-test --
@@ -403,6 +454,16 @@ BAD = [
      {"src/core/thing.cc":
       "// NOLINT-determinism(left over from a deleted loop)\n"
       "int F() { return 4; }\n"}),
+    (rule_build_flags,
+     {"CMakeLists.txt": "add_compile_options(-O2 -ffast-math)\n"}),
+    (rule_build_flags,
+     {"src/lp/CMakeLists.txt":
+      "target_compile_options(tsf_lp PRIVATE -Ofast)\n"}),
+    (rule_build_flags,
+     {"CMakePresets.json":
+      '"cacheVariables": {"CMAKE_CXX_FLAGS": "-march=native"}\n'}),
+    (rule_build_flags,
+     {"perfbench/cmake/flags.cmake": "set(TSF_ARCH -march=native)\n"}),
 ]
 
 CLEAN = [
@@ -457,6 +518,15 @@ CLEAN = [
     (rule_suppression_hygiene,  # reasoned marker covering a live hazard
      {"src/core/thing.cc":
       "int F() { return rand(); }  // NOLINT-determinism(test-only shim)\n"}),
+    (rule_build_flags,  # contraction off and a named ISA level are fine
+     {"src/telemetry/CMakeLists.txt":
+      "target_compile_options(tsf_telemetry PUBLIC -ffp-contract=off)\n",
+      "CMakePresets.json":
+      '"cacheVariables": {"CMAKE_CXX_FLAGS": "-march=x86-64-v3"}\n'}),
+    (rule_build_flags,  # a CMake comment may name the flags it forbids
+     {"CMakeLists.txt": "# never -ffast-math or -march=native here\n"}),
+    (rule_build_flags,  # only build files are read
+     {"src/core/thing.cc": "const char* kFlag = \"-march=native\";\n"}),
 ]
 
 
@@ -487,6 +557,7 @@ def main():
         return lint_common.run_self_test("determinism_lint", BAD, CLEAN)
     root = args.root or lint_common.default_root(__file__)
     files = lint_common.load_tree(root, ("src",))
+    files.update(load_build_files(root))
     if args.list_suppressions:
         return list_suppressions(files)
     findings = lint_common.run_rules(RULES, files)

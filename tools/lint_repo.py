@@ -70,12 +70,6 @@ TELEMETRY_DATA_API = (
     "FairnessSample",
     "WriteFairnessCsv",
     "WriteFairnessJsonl",
-    # Offline accumulation over recorded event streams (src/load driver,
-    # tools/): plain data math, no registry, compiled unconditionally.
-    # (HistogramSnapshot also escapes TELEMETRY_GUARDED_RE by construction —
-    # the Histogram\b alternative stops at the word boundary — this entry
-    # records that the escape is intentional.)
-    "HistogramSnapshot",
 )
 
 # telemetry-macros: instrumentation symbols that must stay behind the TSF_*
@@ -378,10 +372,6 @@ SELF_TEST_CLEAN = [
     (rule_include_cycles,
      {"src/a/a.h": '#pragma once\n#include "b/b.h"\n',
       "src/b/b.h": '#pragma once\n'}),
-    (rule_telemetry_macros,  # HistogramSnapshot is offline data math — the
-     {"src/load/driver.cc":  # load driver accumulates into it unguarded
-      "telemetry::HistogramSnapshot ttp;\n"
-      "void Tally(double ms) { ttp.Record(ms); }\n"}),
     (rule_telemetry_macros,  # macro + guarded-region instrumentation in
      {"src/load/driver.cc":  # src/load compiles out under TELEMETRY=OFF
       '#if defined(TSF_TELEMETRY)\n'

@@ -6,16 +6,13 @@
 //
 // Every reported figure except wall_seconds is derived from virtual time,
 // so a lane is a deterministic function of (seed, rate, machines, duration,
-// shape, policy, fault plan): tools/slo_gate.sh compares the smoke lanes
-// against the committed baseline bit-for-bit on the quantiles and the
-// placement-stream hash. --smoke restricts the sweep to the rate-1 lanes
-// with otherwise identical knobs, so smoke lanes match their full-report
-// counterparts by name and value.
+// shape, policy, fault plan). The quantiles are exact nearest-rank order
+// statistics over every placement. GoldenStreamTest pins the default
+// sweep's rate-1 lanes (placement hash, makespan, p50/p95/p99).
 //
 // An optional --fault_plan=<file> (chaos text format, machine faults only)
 // overlays the same crash/restart program on every lane; faulted lanes are
-// suffixed "_faults" so a gate never compares them against fault-free
-// baselines.
+// suffixed "_faults" so they never share a name with fault-free lanes.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -63,12 +60,17 @@ ArrivalShape ShapeFromString(const std::string& name) {
   return ArrivalShape::kPoisson;
 }
 
+// A class that drew no job has no placements and so no quantiles: its
+// series is just {"count": 0}.
 void AppendSeriesJson(std::ostream& out, const LatencySeries& series) {
-  const telemetry::HistogramSnapshot& h = series.ttp_ms;
-  out << "{\"count\": " << h.count << ", \"mean\": " << h.mean
-      << ", \"min\": " << h.min << ", \"max\": " << h.max
-      << ", \"p50\": " << h.Quantile(0.50) << ", \"p95\": " << h.Quantile(0.95)
-      << ", \"p99\": " << h.Quantile(0.99) << "}";
+  const EmpiricalCdf& ttp = series.ttp_ms;
+  out << "{\"count\": " << ttp.count();
+  if (!ttp.empty())
+    out << ", \"mean\": " << ttp.Mean() << ", \"min\": " << ttp.Min()
+        << ", \"max\": " << ttp.Max() << ", \"p50\": " << ttp.Quantile(0.50)
+        << ", \"p95\": " << ttp.Quantile(0.95)
+        << ", \"p99\": " << ttp.Quantile(0.99);
+  out << "}";
 }
 
 void AppendLaneJson(std::ostream& out, const std::string& name,
@@ -118,9 +120,7 @@ int Main(int argc, char** argv) {
        {"policies", "comma-separated subset of tsf,drf (default both)"},
        {"queue_interval", "queue-depth sample period, vsec (default 1)"},
        {"out", "output JSON path (default BENCH_slo.json)"},
-       {"fault_plan", "chaos fault-plan file overlaid on every lane"},
-       {"smoke", "run only the rate-1 lanes (CI gate subset)"}});
-  const bool smoke = flags.GetBool("smoke", false);
+       {"fault_plan", "chaos fault-plan file overlaid on every lane"}});
   const std::string out_path = flags.GetString("out", "BENCH_slo.json");
   const std::string shape_name = flags.GetString("shape", "poisson");
   const std::string plan_path = flags.GetString("fault_plan", "");
@@ -132,7 +132,7 @@ int Main(int argc, char** argv) {
 
   std::vector<double> rates;
   for (const std::string& token :
-       SplitCsv(smoke ? "1" : flags.GetString("rates", "0.5,1,2")))
+       SplitCsv(flags.GetString("rates", "0.5,1,2")))
     rates.push_back(std::stod(token));
   const std::vector<std::string> substrates =
       SplitCsv(flags.GetString("substrates", "des,mesos"));
@@ -151,9 +151,19 @@ int Main(int argc, char** argv) {
     TSF_CHECK(in.good()) << "cannot read fault plan " << plan_path;
     std::stringstream text;
     text << in.rdbuf();
-    const chaos::FaultPlan plan = chaos::ParseFaultPlan(text.str());
+    chaos::FaultPlan plan;
+    std::string error;
+    if (!chaos::ParseFaultPlan(text.str(), &plan, &error)) {
+      std::fprintf(stderr, "error: %s: %s\n", plan_path.c_str(),
+                   error.c_str());
+      return 1;
+    }
     const std::string defect = chaos::ValidateFaultPlan(plan, machines, 0);
-    TSF_CHECK(defect.empty()) << "fault plan rejected: " << defect;
+    if (!defect.empty()) {
+      std::fprintf(stderr, "error: %s: fault plan rejected: %s\n",
+                   plan_path.c_str(), defect.c_str());
+      return 1;
+    }
     des_faults = chaos::CompileForDes(plan);
     mesos_faults = chaos::CompileForMesos(plan);
   }
@@ -192,13 +202,14 @@ int Main(int argc, char** argv) {
         const std::string name = substrate + "_" + policy + "_r" +
                                  FormatRate(rate) +
                                  (faulted ? "_faults" : "");
+        // GenerateArrivals guarantees a job, so `all` is never empty.
+        const EmpiricalCdf& ttp = report.all.ttp_ms;
         std::printf("%-22s %7llu %7llu %9.2f %9.1f %9.1f %9.1f %7.3f\n",
                     name.c_str(),
                     static_cast<unsigned long long>(report.total_jobs),
                     static_cast<unsigned long long>(report.total_tasks),
-                    report.makespan, report.all.ttp_ms.Quantile(0.50),
-                    report.all.ttp_ms.Quantile(0.95),
-                    report.all.ttp_ms.Quantile(0.99), report.wall_seconds);
+                    report.makespan, ttp.Quantile(0.50), ttp.Quantile(0.95),
+                    ttp.Quantile(0.99), report.wall_seconds);
         std::fflush(stdout);
         lanes.emplace_back(name, std::move(report));
       }
@@ -216,11 +227,10 @@ int Main(int argc, char** argv) {
       << "\",\n    \"seed\": " << seed << ",\n    \"machines\": " << machines
       << ",\n    \"duration\": " << duration << ",\n    \"shape\": \""
       << shape_name << "\",\n    \"queue_interval\": " << queue_interval
-      << ",\n    \"smoke\": " << (smoke ? "true" : "false")
+      << ",\n    \"smoke\": false"  // kept for the schema: always a full sweep
       << ",\n    \"fault_plan\": \"" << plan_path
-      << "\",\n    \"latency_note\": \"ttp quantiles come from 64 log-2 "
-         "buckets: relative error < 2x for values >= 1 ms, exact at bucket "
-         "boundaries and under merge\"\n  },\n  \"lanes\": [\n";
+      << "\",\n    \"latency_note\": \"ttp quantiles are exact nearest-rank "
+         "order statistics over every placement\"\n  },\n  \"lanes\": [\n";
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     AppendLaneJson(out, lanes[i].first, lanes[i].second);
     out << (i + 1 < lanes.size() ? "," : "") << "\n";

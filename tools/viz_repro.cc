@@ -302,7 +302,12 @@ int Main(int argc, char** argv) {
   TSF_CHECK(in.good()) << "cannot read " << repro_path;
   std::stringstream text;
   text << in.rdbuf();
-  const Repro repro = ParseRepro(text.str());
+  Repro repro;
+  std::string error;
+  if (!ParseRepro(text.str(), &repro, &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", repro_path.c_str(), error.c_str());
+    return 1;
+  }
   const ScenarioReport report = ReplayReproReport(repro);
 
   std::ofstream out(out_path);
