@@ -1,6 +1,7 @@
 #include "core/offline/filling_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "telemetry/telemetry.h"
@@ -12,6 +13,10 @@ namespace {
 
 // Two shares within this distance are "equal" for saturation decisions.
 constexpr double kShareEps = 1e-7;
+
+// An active row whose dual exceeds this in magnitude holds its user at the
+// level in every optimum of the round LP (complementary slackness).
+constexpr double kDualEps = 1e-9;
 
 }  // namespace
 
@@ -93,8 +98,31 @@ std::vector<std::size_t> FillingEngine::FreezeSaturatedUsers() {
   const std::size_t n = num_users();
   std::vector<bool> active(n);
   for (std::size_t j = 0; j < n; ++j) active[j] = !frozen_[j];
-  std::vector<double> max_share;
-  ProbeMaxShares(active, /*stop_at_threshold=*/true, &max_share);
+
+  // Each active user's share as a cutoff probe decides it. The round basis
+  // answers most users without one: a nonzero dual on the active row pins
+  // the user at the level, and a replayed first pivot that lifts it past
+  // the threshold is the share the probe would report.
+  const double cutoff = SaturationThreshold();
+  const bool certify = state_.RefreshWarmStart();
+  std::vector<double> max_share(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!active[j]) continue;
+    if (certify) {
+      if (std::abs(state_.RowDual(active_row_[j])) > kDualEps) {
+        TSF_COUNTER_ADD("filling.dual_freezes", 1);
+        max_share[j] = level_;
+        continue;
+      }
+      if (const std::optional<double> lifted =
+              state_.OnePivotCutoffObjective(num_structural_ + j, cutoff)) {
+        TSF_COUNTER_ADD("filling.step_witnesses", 1);
+        max_share[j] = *lifted;
+        continue;
+      }
+    }
+    max_share[j] = ProbeShare(j, cutoff);
+  }
 
   // An active user saturates if, holding the others at the round level,
   // its share cannot rise above it.
@@ -137,24 +165,26 @@ void FillingEngine::ProbeMaxShares(const std::vector<bool>& probe,
   const double cutoff = stop_at_threshold
                             ? SaturationThreshold()
                             : std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!probe[j]) continue;
-    TSF_TRACE_SCOPE("filling", "FreezeProbe");
-    TSF_COUNTER_ADD("filling.probes", 1);
-    scratch_ = state_;  // copy-assigns once the first probe has made it
-    lp::SimplexState& probe_state = *scratch_;
-    probe_state.SetObjectiveCoefficient(level_var_, 0.0);
-    probe_state.SetObjectiveCoefficient(num_structural_ + j, 1.0);
-    probe_state.SetObjectiveCutoff(cutoff);
-    [[maybe_unused]] const std::uint64_t cold_before =
-        probe_state.stats().cold_solves;
-    double share = 0.0;
-    TSF_CHECK(SolveState(probe_state, &share, nullptr))
-        << "freeze-probe LP infeasible — floors exceed capacity?";
-    TSF_COUNTER_ADD("filling.probe_cold_solves",
-                    probe_state.stats().cold_solves - cold_before);
-    (*max_share)[j] = share;
-  }
+  for (std::size_t j = 0; j < n; ++j)
+    if (probe[j]) (*max_share)[j] = ProbeShare(j, cutoff);
+}
+
+double FillingEngine::ProbeShare(std::size_t j, double cutoff) {
+  TSF_TRACE_SCOPE("filling", "FreezeProbe");
+  TSF_COUNTER_ADD("filling.probes", 1);
+  scratch_ = state_;  // copy-assigns once the first probe has made it
+  lp::SimplexState& probe_state = *scratch_;
+  probe_state.SetObjectiveCoefficient(level_var_, 0.0);
+  probe_state.SetObjectiveCoefficient(num_structural_ + j, 1.0);
+  probe_state.SetObjectiveCutoff(cutoff);
+  [[maybe_unused]] const std::uint64_t cold_before =
+      probe_state.stats().cold_solves;
+  double share = 0.0;
+  TSF_CHECK(SolveState(probe_state, &share, nullptr))
+      << "freeze-probe LP infeasible — floors exceed capacity?";
+  TSF_COUNTER_ADD("filling.probe_cold_solves",
+                  probe_state.stats().cold_solves - cold_before);
+  return share;
 }
 
 }  // namespace tsf

@@ -2,9 +2,10 @@
 //
 // Both the single-class engine (progressive_filling.cc) and multi-class TSF
 // (multiclass.cc) run the same loop: one round LP that raises every active
-// user's share to a common level s, then one FREEZE probe LP per active user
-// to find who has saturated. FillingEngine owns that loop's LPs and the
-// freeze decision. It builds one StandardForm per filling run:
+// user's share to a common level s, then a FREEZE step that decides, for
+// every active user, whether its share can still rise. FillingEngine owns
+// that loop's LPs and the freeze decision. It builds one StandardForm per
+// filling run:
 //
 //   * columns: the task variables x, one share column u_i per user, and
 //     the level s;
@@ -36,10 +37,26 @@
 //     basis feasible.
 //
 // The freeze decision is the paper's: an active user saturates when its
-// probe cannot lift it above the threshold. Exact arithmetic guarantees one
-// saturated user per round; if round-off hides it, every active user is
-// re-probed without the cutoff and the one with the smallest exact gap is
-// frozen.
+// probe cannot lift it above the threshold. Most users are decided from
+// the solved round state itself, without copying it, by one of two
+// certificates (lp::SimplexState's basis queries, on the basic values
+// refreshed once per round for the level row's raised rhs):
+//
+//   * dual freeze (`filling.dual_freezes`): the round objective is s alone,
+//     so the dual of j's active row is an entry of the row of B^-1 where s
+//     is basic. If its magnitude exceeds 1e-9, complementary slackness
+//     holds u_j = s = level in every optimum of the round LP, so u_j cannot
+//     rise while the others hold the level: j is saturated;
+//   * one-pivot witness (`filling.step_witnesses`): the probe's first
+//     phase-2 iteration, replayed on the round basis (same pricing, ratio
+//     test, pivot arithmetic and feasibility check). If it lifts u_j past
+//     the threshold, that value is exactly what the probe would report.
+//
+// Every other active user gets a full probe (`filling.probes`), as does
+// every user of a round whose refreshed basic values fail the warm path's
+// feasibility check. Exact arithmetic guarantees one saturated user per
+// round; if round-off hides it, every active user is re-probed without the
+// cutoff and the one with the smallest exact gap is frozen.
 //
 // Probes run one after another on a single scratch state: the first probe
 // copies the round state into it, and each later one copy-assigns into the
@@ -88,9 +105,11 @@ class FillingEngine {
   // num_structural).
   bool SolveRound(double* level, std::vector<double>* x);
 
-  // The FREEZE step of the solved round: probes every active user, freezes
-  // the ones that saturate at the round level, and returns them in index
-  // order (never empty while a user is active).
+  // The FREEZE step of the solved round: decides every active user from
+  // the round basis or, failing that, a probe, freezes the ones that
+  // saturate at the round level, and returns them in index order (never
+  // empty while a user is active). The decisions are those of probing
+  // every active user.
   std::vector<std::size_t> FreezeSaturatedUsers();
 
   // Permanently freezes user j with share floor `floor` (u_j >= floor).
@@ -110,6 +129,9 @@ class FillingEngine {
  private:
   lp::SimplexState BuildState(const FillingSpec& spec);
   double SaturationThreshold() const;
+  // One full probe: user j's share from a warm re-solve of the round state
+  // for max u_j with objective cutoff `cutoff`.
+  double ProbeShare(std::size_t j, double cutoff);
   // Solves `state`; false when infeasible. Stores the objective (the level
   // in a round, u_j in a probe) and, if x is non-null, the task values.
   bool SolveState(lp::SimplexState& state, double* objective,

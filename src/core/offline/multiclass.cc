@@ -194,6 +194,10 @@ CompiledMultiClass CompileMultiClass(const MultiClassProblem& problem) {
   return compiled;
 }
 
+FillingSpec MakeMultiClassFillingSpec(const CompiledMultiClass& problem) {
+  return MakeSpec(problem, TripleLayout(problem));
+}
+
 MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem) {
   const TripleLayout layout(problem);
   FillingEngine engine(MakeSpec(problem, layout));

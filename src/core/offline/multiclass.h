@@ -76,6 +76,10 @@ struct MultiClassResult {
 // Max-min fairness over multi-class task shares (progressive filling).
 MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem);
 
+// The FillingSpec SolveMultiClassTsf runs on (exposed for tests that drive
+// FillingEngine directly).
+FillingSpec MakeMultiClassFillingSpec(const CompiledMultiClass& problem);
+
 // The mix-enforced monopoly total for one user (exposed for tests).
 double MultiClassMonopolyTasks(const CompiledMultiClass& problem, UserId i);
 

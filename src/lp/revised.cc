@@ -55,12 +55,14 @@ void SimplexState::SetRhs(std::size_t row, double rhs) {
   form_.SetRhs(row, rhs);
   dirty_ = true;
   solution_valid_ = false;
+  warm_start_ready_ = false;
 }
 
 void SimplexState::SetCoefficient(std::size_t row, std::size_t variable,
                                   double value) {
   const double previous = form_.SetCoefficient(row, variable, value);
   if (previous == value) return;
+  warm_start_ready_ = false;
   if (state_valid_) {
     PendingColumn* pending = nullptr;
     for (PendingColumn& p : pending_)
@@ -96,6 +98,7 @@ void SimplexState::EnterSlack(std::size_t row) {
   TSF_CHECK_LT(row, form_.num_rows());
   TSF_CHECK(form_.relation(row) != Relation::kEqual)
       << "an equality row's surplus is banned from the basis";
+  warm_start_ready_ = false;
   if (!state_valid_) return;
   if (!ApplyPendingColumnUpdates()) {
     state_valid_ = false;
@@ -561,6 +564,7 @@ const Solution& SimplexState::Solve() {
   if (solution_valid_ && !dirty_) return solution_;
   TSF_TRACE_SCOPE("lp", "Solve");
   ++stats_.solves;
+  warm_start_ready_ = false;
   bool done = false;
   if (state_valid_) {
     done = WarmSolve();
@@ -573,6 +577,87 @@ const Solution& SimplexState::Solve() {
   dirty_ = false;
   solution_valid_ = true;
   return solution_;
+}
+
+bool SimplexState::RefreshWarmStart() {
+  warm_start_ready_ = false;
+  if (!state_valid_ || !pending_.empty()) return false;
+  ComputeBasicValues();
+  warm_start_ready_ = BasicValuesFeasible();
+  return warm_start_ready_;
+}
+
+double SimplexState::RowDual(std::size_t row) const {
+  const std::size_t m = form_.num_rows();
+  TSF_CHECK_LT(row, m);
+  if (!warm_start_ready_) return 0.0;
+  double dual = 0.0;
+  for (std::size_t r = 0; r < m; ++r) {
+    const double cost = ColumnCost(basis_[r], /*phase1=*/false);
+    if (cost != 0.0) dual += cost * binv_[r * m + row];
+  }
+  return dual;
+}
+
+std::optional<double> SimplexState::OnePivotCutoffObjective(
+    std::size_t variable, double cutoff) const {
+  const std::size_t m = form_.num_rows();
+  const std::size_t n = form_.num_variables();
+  TSF_CHECK_LT(variable, n);
+  if (!warm_start_ready_ || !is_basic_[variable]) return std::nullopt;
+  const std::size_t row = static_cast<std::size_t>(
+      std::find(basis_.begin(), basis_.end(), variable) - basis_.begin());
+  // Under this objective c_B . xb is the variable's own value, and
+  // ExtractSolution reports it clamped at zero. Iterate checks the cutoff
+  // before every pricing: here before and after the first pivot.
+  if (xb_[row] > cutoff) return std::max(0.0, xb_[row]);
+
+  // Iterate's first pricing (Dantzig). The only costed basic column sits in
+  // `row`, so y = c_B B^-1 is that row of B^-1, and every nonbasic column
+  // costs 0.
+  const double* y = &binv_[row * m];
+  const std::size_t width = n + m;
+  std::size_t entering = width;
+  double best = kEps;
+  for (std::size_t col = 0; col < width; ++col) {
+    if (is_basic_[col] || !ColumnAllowed(col, /*phase1=*/false)) continue;
+    double dot = 0.0;
+    if (col < n) {
+      for (const StandardForm::Entry& entry : form_.column(col))
+        dot += y[entry.row] * entry.value;
+    } else {
+      const std::size_t slack_row = col - n;
+      dot = (form_.relation(slack_row) == Relation::kLessEqual ? 1.0 : -1.0) *
+            y[slack_row];
+    }
+    const double reduced = 0.0 - dot;
+    if (reduced > best) {
+      entering = col;
+      best = reduced;
+    }
+  }
+  if (entering == width) return std::nullopt;  // the start is optimal
+  std::vector<double> d(m);
+  Ftran(entering, d);
+  const std::size_t leaving = LeavingRow(d, /*use_bland=*/false);
+  if (leaving == m || leaving == row) return std::nullopt;
+
+  // Pivot's arithmetic on the basic values.
+  std::vector<double> next = xb_;
+  const double inv = 1.0 / d[leaving];
+  next[leaving] *= inv;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (r == leaving || d[r] == 0.0) continue;
+    next[r] -= d[r] * next[leaving];
+  }
+  if (!(next[row] > cutoff)) return std::nullopt;
+  // WarmSolve's BasicValuesFeasible on the basis after the pivot.
+  for (std::size_t r = 0; r < m; ++r) {
+    const std::size_t col = r == leaving ? entering : basis_[r];
+    if (next[r] < -kFeasEps || (IsBannedBasic(col) && next[r] > kFeasEps))
+      return std::nullopt;
+  }
+  return std::max(0.0, next[row]);
 }
 
 }  // namespace tsf::lp

@@ -43,6 +43,16 @@
 // caller that only needs to know whether the optimum clears a threshold
 // stops there instead of pivoting on to the optimum.
 //
+// Queries on the last solve's basis answer questions about nearby programs
+// without copying or re-solving the state: RefreshWarmStart recomputes the
+// basic values for the current rhs as a warm re-solve starts by doing, and
+// on those values RowDual gives a row's dual value and
+// OnePivotCutoffObjective replays the first pivot of a warm re-solve under
+// a unit objective and a cutoff. The replay mirrors Iterate's pricing,
+// ratio test, pivot arithmetic and WarmSolve's feasibility check, so what
+// it reports is what that re-solve would report, bit for bit
+// (tests/lp_differential_test.cc holds it to the solve).
+//
 // Telemetry (all macro-gated, see telemetry/telemetry.h): `lp.iterations`,
 // `lp.warm_hits`, `lp.phase1_skipped`, `lp.cold_solves`,
 // `lp.warm_fallbacks`.
@@ -51,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,6 +127,29 @@ class SimplexState {
 
   const ResolveStats& stats() const { return stats_; }
 
+  // Recomputes the basic values B^-1 b for the current rhs, as a warm
+  // re-solve starts by doing (the basis and B^-1 stay). True when that
+  // re-solve would go on from them: the last solve left a basis, no
+  // coefficient change is pending, and the values pass the warm path's
+  // feasibility check. Until the next rhs or coefficient change, EnterSlack
+  // or Solve, the two queries below answer from these values; otherwise
+  // they return 0 and nullopt.
+  bool RefreshWarmStart();
+
+  // The dual value (c_B B^-1)_row of `row` under the current objective. On
+  // an optimal basis a nonzero dual holds the row tight in every optimum
+  // (complementary slackness).
+  double RowDual(std::size_t row) const;
+
+  // Replays a warm re-solve of `maximize x_variable` (cost 1 on that
+  // structural variable, 0 on every other) with objective cutoff `cutoff`.
+  // If that re-solve stops at the cutoff before or right after its first
+  // pivot, returns the objective it would report, bit for bit; otherwise
+  // nullopt. Also nullopt when `variable` is nonbasic or the pivot moves it
+  // out of the basis.
+  std::optional<double> OnePivotCutoffObjective(std::size_t variable,
+                                                double cutoff) const;
+
  private:
   enum class IterateResult { kOptimal, kUnbounded, kStalled, kCutoff };
 
@@ -150,6 +184,7 @@ class SimplexState {
   bool solution_valid_ = false;
   bool dirty_ = true;       // form mutated since last Solve
   bool state_valid_ = false;
+  bool warm_start_ready_ = false;  // RefreshWarmStart succeeded, still valid
   double cutoff_ = std::numeric_limits<double>::infinity();
 
   std::vector<std::size_t> basis_;  // column id basic in each row

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.h"
 #include "util/text.h"
@@ -29,22 +31,30 @@ std::string JoinMachines(const std::vector<MachineId>& ids) {
   return out;
 }
 
-bool SplitIds(const std::string& text, std::vector<std::uint64_t>* ids,
-              std::string* error) {
+// Parses a comma-separated id list ("-" is the empty list) whose ids are at
+// most `max_id`. On a malformed or out-of-range element, stores it in *bad
+// and returns false.
+bool SplitIds(std::string_view text, std::uint64_t max_id,
+              std::vector<std::uint64_t>* ids, std::string* bad) {
   ids->clear();
   if (text == "-") return true;
-  std::stringstream stream(text);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    try {
-      ids->push_back(std::stoull(token));
-    } catch (...) {
-      *error = "bad id list element: '" + token + "'";
+  while (true) {
+    const std::size_t comma = text.find(',');
+    const std::string_view element = text.substr(0, comma);
+    std::uint64_t id = 0;
+    if (!ParseUint64(element, &id) || id > max_id) {
+      *bad = std::string(element);
       return false;
     }
+    ids->push_back(id);
+    if (comma == std::string_view::npos) return true;
+    text.remove_prefix(comma + 1);
   }
-  return true;
 }
+
+constexpr std::uint64_t kMaxAttributeId =
+    std::numeric_limits<AttributeId>::max();
+constexpr std::uint64_t kMaxMachineId = std::numeric_limits<MachineId>::max();
 
 }  // namespace
 
@@ -113,12 +123,31 @@ bool WorkloadFromText(const std::string& text, Workload* workload,
     std::stringstream tokens(line);
     std::string keyword;
     tokens >> keyword;
+    // Every number is one whole token; a line ends after its last field.
+    std::string token;
+    const auto next_double = [&](double* value) {
+      return static_cast<bool>(tokens >> token) &&
+             ParseFiniteDouble(token, value);
+    };
+    const auto next_ids = [&](std::uint64_t max_id, const char* what,
+                              std::vector<std::uint64_t>* ids) {
+      if (!(tokens >> token)) return fail(std::string("missing ") + what);
+      std::string bad;
+      if (!SplitIds(token, max_id, ids, &bad))
+        return fail(std::string("bad ") + what + " '" + bad + "'");
+      return true;
+    };
+    const auto at_line_end = [&] {
+      return tokens >> token ? fail("unexpected '" + token + "'") : true;
+    };
 
     if (keyword == "runtimes") {
       if (!expecting_runtimes) return fail("runtimes without preceding job");
       SimJob& job = workload->jobs.back();
-      double value = 0;
-      while (tokens >> value) {
+      while (tokens >> token) {
+        double value = 0;
+        if (!ParseFiniteDouble(token, &value))
+          return fail("bad task runtime '" + token + "'");
         if (value <= 0.0) return fail("non-positive task runtime");
         job.task_runtimes.push_back(value);
       }
@@ -131,22 +160,28 @@ bool WorkloadFromText(const std::string& text, Workload* workload,
 
     if (keyword == "resources") {
       if (have_resources) return fail("duplicate resources line");
-      if (!(tokens >> resources) || resources == 0)
+      std::uint64_t count = 0;
+      if (!(tokens >> token) || !ParseUint64(token, &count) || count == 0)
         return fail("bad resource count");
+      if (!at_line_end()) return false;
+      resources = static_cast<std::size_t>(count);
       have_resources = true;
       continue;
     }
 
     if (keyword == "machine") {
       if (!have_resources) return fail("machine before resources line");
-      std::vector<double> capacity(resources);
-      for (double& c : capacity)
-        if (!(tokens >> c) || c < 0) return fail("bad machine capacity");
-      std::string marker, ids_text;
-      if (!(tokens >> marker >> ids_text) || marker != "attrs")
+      std::vector<double> capacity;
+      for (std::size_t r = 0; r < resources; ++r) {
+        double c = 0;
+        if (!next_double(&c) || c < 0) return fail("bad machine capacity");
+        capacity.push_back(c);
+      }
+      if (!(tokens >> token) || token != "attrs")
         return fail("expected 'attrs <ids|->'");
       std::vector<std::uint64_t> ids;
-      if (!SplitIds(ids_text, &ids, error)) return false;
+      if (!next_ids(kMaxAttributeId, "attribute id", &ids) || !at_line_end())
+        return false;
       AttributeSet attributes;
       for (const auto id : ids)
         attributes.Add(static_cast<AttributeId>(id));
@@ -159,44 +194,48 @@ bool WorkloadFromText(const std::string& text, Workload* workload,
       if (!have_resources) return fail("job before resources line");
       SimJob job;
       job.spec.id = workload->jobs.size();
-      std::string field;
       if (!(tokens >> job.spec.name)) return fail("missing job name");
       // arrival <t> weight <w> demand <d...> constraint <...>
-      if (!(tokens >> field) || field != "arrival") return fail("expected 'arrival'");
-      if (!(tokens >> job.spec.arrival_time) || job.spec.arrival_time < 0)
+      if (!(tokens >> token) || token != "arrival") return fail("expected 'arrival'");
+      if (!next_double(&job.spec.arrival_time) || job.spec.arrival_time < 0)
         return fail("bad arrival time");
-      if (!(tokens >> field) || field != "weight") return fail("expected 'weight'");
-      if (!(tokens >> job.spec.weight) || job.spec.weight <= 0)
+      if (!(tokens >> token) || token != "weight") return fail("expected 'weight'");
+      if (!next_double(&job.spec.weight) || job.spec.weight <= 0)
         return fail("bad weight");
-      if (!(tokens >> field) || field != "demand") return fail("expected 'demand'");
-      std::vector<double> demand(resources);
-      for (double& d : demand)
-        if (!(tokens >> d) || d < 0) return fail("bad demand");
+      if (!(tokens >> token) || token != "demand") return fail("expected 'demand'");
+      std::vector<double> demand;
+      for (std::size_t r = 0; r < resources; ++r) {
+        double d = 0;
+        if (!next_double(&d) || d < 0) return fail("bad demand");
+        demand.push_back(d);
+      }
       job.spec.demand = ResourceVector(std::move(demand));
-      if (!(tokens >> field) || field != "constraint")
+      if (!(tokens >> token) || token != "constraint")
         return fail("expected 'constraint'");
       std::string kind;
       if (!(tokens >> kind)) return fail("missing constraint kind");
       if (kind == "none") {
         job.spec.constraint = Constraint::None();
       } else {
-        std::string ids_text;
-        if (!(tokens >> ids_text)) return fail("missing constraint ids");
+        const bool attrs = kind == "attrs";
+        if (!attrs && kind != "whitelist" && kind != "blacklist")
+          return fail("unknown constraint kind '" + kind + "'");
         std::vector<std::uint64_t> ids;
-        if (!SplitIds(ids_text, &ids, error)) return false;
-        if (kind == "attrs") {
+        if (!next_ids(attrs ? kMaxAttributeId : kMaxMachineId,
+                      attrs ? "attribute id" : "machine id", &ids))
+          return false;
+        if (attrs) {
           AttributeSet required;
           for (const auto id : ids) required.Add(static_cast<AttributeId>(id));
           job.spec.constraint = Constraint::RequireAttributes(std::move(required));
-        } else if (kind == "whitelist" || kind == "blacklist") {
+        } else {
           std::vector<MachineId> machines(ids.begin(), ids.end());
           job.spec.constraint = kind == "whitelist"
                                     ? Constraint::Whitelist(std::move(machines))
                                     : Constraint::Blacklist(std::move(machines));
-        } else {
-          return fail("unknown constraint kind '" + kind + "'");
         }
       }
+      if (!at_line_end()) return false;
       workload->jobs.push_back(std::move(job));
       expecting_runtimes = true;
       continue;

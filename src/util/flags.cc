@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <utility>
+
+#include "util/text.h"
 
 namespace tsf {
 namespace {
@@ -16,20 +19,13 @@ std::string EnvName(std::string_view flag) {
   return env;
 }
 
-[[noreturn]] void UsageError(const std::string& message,
-                             const std::vector<std::pair<std::string, std::string>>& allowed) {
-  std::fprintf(stderr, "error: %s\n\nflags:\n", message.c_str());
-  for (const auto& [name, help] : allowed)
-    std::fprintf(stderr, "  --%-18s %s\n", name.c_str(), help.c_str());
-  std::exit(2);
-}
-
 }  // namespace
 
 Flags::Flags(int argc, char** argv,
-             std::vector<std::pair<std::string, std::string>> allowed) {
+             std::vector<std::pair<std::string, std::string>> allowed)
+    : allowed_(std::move(allowed)) {
   std::set<std::string> names;
-  for (const auto& [name, help] : allowed) names.insert(name);
+  for (const auto& [name, help] : allowed_) names.insert(name);
   names.insert("help");
 
   for (int i = 1; i < argc; ++i) {
@@ -52,19 +48,30 @@ Flags::Flags(int argc, char** argv,
         value = "true";
       }
     }
-    if (!names.contains(name)) UsageError("unknown flag --" + name, allowed);
-    if (name == "help") UsageError("usage", allowed);
+    if (!names.contains(name)) Fail("unknown flag --" + name);
+    if (name == "help") Fail("usage");
     values_[name] = value;
   }
 }
 
-bool Flags::Lookup(std::string_view name, std::string* out) const {
+void Flags::Fail(const std::string& message) const {
+  std::fprintf(stderr, "error: %s\n\nflags:\n", message.c_str());
+  for (const auto& [name, help] : allowed_)
+    std::fprintf(stderr, "  --%-18s %s\n", name.c_str(), help.c_str());
+  std::exit(2);
+}
+
+bool Flags::Lookup(std::string_view name, std::string* out,
+                   std::string* source) const {
   if (const auto it = values_.find(name); it != values_.end()) {
     *out = it->second;
+    if (source != nullptr) *source = "--" + std::string(name);
     return true;
   }
-  if (const char* env = std::getenv(EnvName(name).c_str()); env != nullptr) {
+  const std::string env_name = EnvName(name);
+  if (const char* env = std::getenv(env_name.c_str()); env != nullptr) {
     *out = env;
+    if (source != nullptr) *source = env_name;
     return true;
   }
   return false;
@@ -81,15 +88,22 @@ std::string Flags::GetString(std::string_view name, std::string_view fallback) c
 }
 
 std::int64_t Flags::GetInt(std::string_view name, std::int64_t fallback) const {
-  std::string value;
-  if (!Lookup(name, &value)) return fallback;
-  return std::strtoll(value.c_str(), nullptr, 10);
+  std::string value, source;
+  if (!Lookup(name, &value, &source)) return fallback;
+  std::int64_t parsed = 0;
+  if (!ParseInt64(value, &parsed))
+    Fail("bad value '" + value + "' for " + source + ": expected an integer");
+  return parsed;
 }
 
 double Flags::GetDouble(std::string_view name, double fallback) const {
-  std::string value;
-  if (!Lookup(name, &value)) return fallback;
-  return std::strtod(value.c_str(), nullptr);
+  std::string value, source;
+  if (!Lookup(name, &value, &source)) return fallback;
+  double parsed = 0.0;
+  if (!ParseFiniteDouble(value, &parsed))
+    Fail("bad value '" + value + "' for " + source +
+         ": expected a finite number");
+  return parsed;
 }
 
 bool Flags::GetBool(std::string_view name, bool fallback) const {

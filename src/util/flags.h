@@ -3,7 +3,9 @@
 // Supports `--name=value`, `--name value`, and bare `--name` for booleans.
 // Every flag also reads a TSF_<NAME> environment variable as its default so
 // the whole bench suite can be re-scaled without editing command lines
-// (e.g. TSF_SEEDS=50 ./bench_fig9_job_perf).
+// (e.g. TSF_SEEDS=50 ./bench_fig9_job_perf). A value that does not parse
+// whole as the accessor's type is a usage error (exit 2) naming the flag or
+// its variable, like an unknown flag.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,8 @@ class Flags {
         std::vector<std::pair<std::string, std::string>> allowed);
 
   // Typed accessors; `name` without leading dashes. Fall back order:
-  // command line > TSF_<NAME> env var > fallback argument.
+  // command line > TSF_<NAME> env var > fallback argument. GetInt takes a
+  // decimal integer, GetDouble a finite number.
   std::string GetString(std::string_view name, std::string_view fallback) const;
   std::int64_t GetInt(std::string_view name, std::int64_t fallback) const;
   double GetDouble(std::string_view name, double fallback) const;
@@ -32,10 +35,17 @@ class Flags {
   bool Has(std::string_view name) const;
   const std::vector<std::string>& positional() const { return positional_; }
 
- private:
-  // Returns the raw value for a flag, or empty optional semantics via bool.
-  bool Lookup(std::string_view name, std::string* out) const;
+  // Prints `message` and the flag list to stderr and exits with code 2, as
+  // an unknown flag does; for values a binary rejects on its own terms.
+  [[noreturn]] void Fail(const std::string& message) const;
 
+ private:
+  // The raw value for a flag and where it came from (`--name` or
+  // `TSF_<NAME>`); false when neither sets it.
+  bool Lookup(std::string_view name, std::string* out,
+              std::string* source = nullptr) const;
+
+  std::vector<std::pair<std::string, std::string>> allowed_;
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> positional_;
 };

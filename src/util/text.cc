@@ -27,4 +27,11 @@ bool ParseUint64(std::string_view token, std::uint64_t* value) {
   return result.ec == std::errc() && result.ptr == end;
 }
 
+bool ParseInt64(std::string_view token, std::int64_t* value) {
+  const char* end = token.data() + token.size();
+  const std::from_chars_result result =
+      std::from_chars(token.data(), end, *value);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
 }  // namespace tsf

@@ -17,5 +17,6 @@ std::string FormatDouble(double value);
 // overflow; ParseFiniteDouble also rejects inf and nan.
 bool ParseFiniteDouble(std::string_view token, double* value);
 bool ParseUint64(std::string_view token, std::uint64_t* value);
+bool ParseInt64(std::string_view token, std::int64_t* value);
 
 }  // namespace tsf

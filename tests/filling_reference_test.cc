@@ -7,21 +7,28 @@
 // to LP tolerance (the two solvers may pick different optimal vertices of
 // degenerate programs). A fault in how the engine formulates or mutates its
 // LPs shows up as a diverging level or freeze round.
+//
+// The engine decides most FREEZE questions from the round basis instead of
+// a probe (a nonzero dual, or a replayed first pivot). A second test holds
+// those decisions to the full probes they replace, round by round.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
+#include "core/offline/multiclass.h"
 #include "core/offline/policies.h"
 #include "core/offline/progressive_filling.h"
 #include "lp_oracle.h"
 #include "random_instances.h"
+#include "telemetry/metrics.h"
 
 namespace tsf {
 namespace {
@@ -148,6 +155,93 @@ TEST(FillingReferenceTest, EngineMatchesFromScratchReference) {
             << users << " users, seed " << seed << ", user " << i;
     }
   }
+}
+
+// Drives the engine round by round. Before each FreezeSaturatedUsers(),
+// full cutoff probes of every active user give the freeze set without
+// certificates (with the smallest-gap rule when it is empty); the engine
+// must freeze exactly that set.
+void ExpectCertificatesMatchProbes(const FillingSpec& spec,
+                                   const std::string& label) {
+  FillingEngine engine(spec);
+  const std::size_t n = engine.num_users();
+  std::vector<bool> active(n, true);
+  std::size_t num_active = n;
+  for (std::size_t round = 1; num_active > 0; ++round) {
+    ASSERT_LE(round, n + 1) << label << ": no convergence";
+    double level = 0.0;
+    ASSERT_TRUE(engine.SolveRound(&level, nullptr)) << label;
+    std::vector<double> max_share;
+    engine.ProbeMaxShares(active, /*stop_at_threshold=*/true, &max_share);
+    const double tolerance = kShareEps * std::max(1.0, level);
+    std::vector<std::size_t> expected;
+    for (std::size_t j = 0; j < n; ++j)
+      if (active[j] && max_share[j] - level <= tolerance) expected.push_back(j);
+    if (expected.empty()) {
+      engine.ProbeMaxShares(active, /*stop_at_threshold=*/false, &max_share);
+      std::size_t closest = n;
+      for (std::size_t j = 0; j < n; ++j)
+        if (active[j] && (closest == n || max_share[j] < max_share[closest]))
+          closest = j;
+      expected.push_back(closest);
+    }
+    const std::vector<std::size_t> frozen = engine.FreezeSaturatedUsers();
+    ASSERT_EQ(frozen, expected) << label << ", round " << round;
+    for (const std::size_t j : frozen) {
+      active[j] = false;
+      --num_active;
+    }
+  }
+}
+
+TEST(FillingReferenceTest, FreezeCertificatesMatchFullProbes) {
+  telemetry::Registry& registry = telemetry::Registry::Get();
+  const auto read = [&](const char* name) {
+    return registry.GetCounter(name).Total();
+  };
+  const std::int64_t duals_before = read("filling.dual_freezes");
+  const std::int64_t witnesses_before = read("filling.step_witnesses");
+  telemetry::SetEnabled(true);
+  for (const std::size_t users : {4u, 8u, 12u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const CompiledProblem problem =
+          Compile(RandomSharing(users, users, seed));
+      const EdgeLayout layout(problem);
+      ExpectCertificatesMatchProbes(
+          MakeFillingSpec(problem, layout, TsfDenominator(problem)),
+          std::to_string(users) + " users, seed " + std::to_string(seed));
+    }
+  }
+  for (const TraceInstance& instance : kGoldenTraceInstances) {
+    const CompiledProblem problem = CompileTrace(instance);
+    const EdgeLayout layout(problem);
+    const std::pair<std::vector<double>, const char*> denominators[] = {
+        {TsfDenominator(problem), "TSF"},
+        {CdrfDenominator(problem), "CDRF"},
+        {DrfhDenominator(problem), "DRFH"},
+        {CmmfDenominator(problem, /*resource=*/0), "CMMF"}};
+    for (const auto& [denominator, policy] : denominators)
+      ExpectCertificatesMatchProbes(
+          MakeFillingSpec(problem, layout, denominator),
+          "trace " + std::to_string(instance.machines) + "x" +
+              std::to_string(instance.jobs) + " seed " +
+              std::to_string(instance.seed) + " " + policy);
+  }
+  for (const std::uint64_t seed : kGoldenMultiClassSeeds)
+    ExpectCertificatesMatchProbes(
+        MakeMultiClassFillingSpec(
+            CompileMultiClass(RandomMultiClass(6, 5, seed))),
+        "multi-class seed " + std::to_string(seed));
+  telemetry::SetEnabled(false);
+#if defined(TSF_TELEMETRY)
+  // Without certificates every decision above would be a probe, and the
+  // comparison would hold vacuously.
+  EXPECT_GT(read("filling.dual_freezes") - duals_before, 0);
+  EXPECT_GT(read("filling.step_witnesses") - witnesses_before, 0);
+#else
+  static_cast<void>(duals_before);
+  static_cast<void>(witnesses_before);
+#endif
 }
 
 }  // namespace

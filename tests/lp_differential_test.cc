@@ -2,10 +2,15 @@
 // the dense tableau oracle (lp_oracle.h). Randomized programs — feasible,
 // infeasible, unbounded, and degenerate — must agree on status, and on the
 // objective to 1e-9, both on cold solves and after chains of
-// shape-preserving mutations re-solved warm.
+// shape-preserving mutations re-solved warm. On the same programs, every
+// answer of the one-pivot replay (OnePivotCutoffObjective) must be what the
+// warm re-solve it replays reports, bit for bit.
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -119,9 +124,47 @@ void ExpectFeasible(const StandardForm& form, const Solution& solution) {
   }
 }
 
+struct ReplayCounts {
+  int zero_pivots = 0;  // the warm start already cleared the cutoff
+  int one_pivot = 0;
+};
+
+// For every structural variable v and cutoffs around x[v]: whenever the
+// replay of `maximize x_v` on `state` answers, a copy of the state solved
+// for x_v under the same cutoff must stop there with a bit-equal objective.
+void ExpectReplaysMatchSolves(SimplexState& state,
+                              const std::vector<double>& x,
+                              ReplayCounts* counts) {
+  if (!state.RefreshWarmStart()) return;
+  const std::size_t n = state.form().num_variables();
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const double offset : {-1.0, 0.0, 1.0}) {
+      const double cutoff = x[v] + offset;
+      const std::optional<double> replay =
+          state.OnePivotCutoffObjective(v, cutoff);
+      if (!replay) continue;
+      SimplexState copy = state;
+      for (std::size_t u = 0; u < n; ++u)
+        copy.SetObjectiveCoefficient(u, u == v ? 1.0 : 0.0);
+      copy.SetObjectiveCutoff(cutoff);
+      const std::uint64_t iterations = copy.stats().iterations;
+      const Solution& solved = copy.Solve();
+      ASSERT_EQ(solved.status, SolveStatus::kCutoff)
+          << "variable " << v << ", cutoff " << cutoff;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(solved.objective),
+                std::bit_cast<std::uint64_t>(*replay))
+          << "variable " << v << ", cutoff " << cutoff << ": solve "
+          << solved.objective << ", replay " << *replay;
+      ++(copy.stats().iterations == iterations ? counts->zero_pivots
+                                               : counts->one_pivot);
+    }
+  }
+}
+
 TEST(LpDifferentialTest, ColdSolveMatchesDenseOnRandomPrograms) {
   Rng rng(7041);
   int optimal = 0, infeasible = 0, unbounded = 0;
+  ReplayCounts replays;
   for (int trial = 0; trial < 400; ++trial) {
     RandomProgram program = MakeRandomProgram(rng, trial % 2 == 0);
     const Solution dense = DenseProblemOf(program.form).Solve();
@@ -132,6 +175,7 @@ TEST(LpDifferentialTest, ColdSolveMatchesDenseOnRandomPrograms) {
       case SolveStatus::kOptimal:
         ++optimal;
         ExpectFeasible(state.form(), revised);
+        ExpectReplaysMatchSolves(state, revised.x, &replays);
         break;
       case SolveStatus::kInfeasible:
         ++infeasible;
@@ -148,16 +192,19 @@ TEST(LpDifferentialTest, ColdSolveMatchesDenseOnRandomPrograms) {
   EXPECT_GT(optimal, 50);
   EXPECT_GT(infeasible, 20);
   EXPECT_GT(unbounded, 20);
+  EXPECT_GT(replays.zero_pivots, 50);
+  EXPECT_GT(replays.one_pivot, 50);
 }
 
 TEST(LpDifferentialTest, WarmResolveMatchesDenseAcrossMutationChains) {
   Rng rng(9102);
   std::uint64_t warm_total = 0;
+  ReplayCounts replays;
   for (int trial = 0; trial < 200; ++trial) {
     RandomProgram program = MakeRandomProgram(rng, true);
     std::vector<std::pair<std::size_t, std::size_t>> slots = program.slots;
     SimplexState state(std::move(program.form));
-    state.Solve();
+    std::vector<double> x = state.Solve().x;  // of the last optimum
     for (int step = 0; step < 6; ++step) {
       if (rng.Chance(0.5)) {
         const std::size_t row = rng.Below(state.form().num_rows());
@@ -168,17 +215,23 @@ TEST(LpDifferentialTest, WarmResolveMatchesDenseAcrossMutationChains) {
         state.SetCoefficient(row, variable,
                              static_cast<double>(rng.Int(-3, 3)));
       }
+      // Before the re-solve: the replay starts from the refreshed values.
+      if (!x.empty()) ExpectReplaysMatchSolves(state, x, &replays);
       const Solution dense = DenseProblemOf(state.form()).Solve();
       const Solution& revised = state.Solve();
       ExpectAgreement(dense, revised, "warm chain");
-      if (dense.status == SolveStatus::kOptimal)
+      if (dense.status == SolveStatus::kOptimal) {
         ExpectFeasible(state.form(), revised);
+        x = revised.x;
+      }
     }
     warm_total += state.stats().warm_solves;
   }
   // The whole point of the engine: a healthy share of re-solves must take
   // the warm path.
   EXPECT_GT(warm_total, 200u);
+  EXPECT_GT(replays.zero_pivots, 50);
+  EXPECT_GT(replays.one_pivot, 50);
 }
 
 TEST(LpDifferentialTest, RefactorPathAfterNearSingularColumnUpdate) {

@@ -7,8 +7,9 @@
 // basis across freezes their TSF runs needed the dense solver's rescue.
 //
 // The same solves also pin the LP work contract of the filling engine: no
-// dense-solver rescue, no cold two-phase solve inside a FREEZE probe, and at
-// least 90% of warm starts succeed (lp.* and filling.* counters).
+// cold two-phase solve inside a FREEZE probe, at least 90% of warm starts
+// succeed, both certificates from the round basis fire, and at most 15% of
+// the FREEZE decisions need a full probe (lp.* and filling.* counters).
 //
 // To bless an intentional change:  TSF_UPDATE_GOLDEN=1 ctest -R OfflineGolden
 #include <gtest/gtest.h>
@@ -30,7 +31,6 @@
 #include "core/offline/policies.h"
 #include "random_instances.h"
 #include "telemetry/metrics.h"
-#include "trace/google.h"
 
 namespace tsf {
 namespace {
@@ -38,31 +38,7 @@ namespace {
 constexpr const char* kGoldenFile = TSF_GOLDEN_DIR "/offline_fill.txt";
 constexpr double kRelTolerance = 1e-9;
 
-struct TraceInstance {
-  std::size_t machines;
-  std::size_t jobs;
-  std::uint64_t seed;
-};
-
-constexpr TraceInstance kTraceInstances[] = {
-    {30, 16, 80}, {30, 16, 81}, {30, 16, 82}, {30, 16, 83},
-    {30, 16, 84}, {30, 16, 85}, {30, 16, 86}, {30, 16, 87},
-    {60, 40, 4},  {60, 40, 11}};
-constexpr std::uint64_t kMultiClassSeeds[] = {1, 2, 3, 4};
-
 bool UpdateMode() { return std::getenv("TSF_UPDATE_GOLDEN") != nullptr; }
-
-CompiledProblem CompileTrace(const TraceInstance& instance) {
-  trace::GoogleTraceConfig config;
-  config.num_machines = instance.machines;
-  config.num_jobs = instance.jobs;
-  config.seed = instance.seed;
-  Workload workload = trace::SynthesizeGoogleWorkload(config);
-  SharingProblem problem;
-  problem.cluster = std::move(workload.cluster);
-  for (SimJob& job : workload.jobs) problem.jobs.push_back(std::move(job.spec));
-  return Compile(problem);
-}
 
 struct PinnedRun {
   std::vector<std::size_t> freeze_round;
@@ -78,7 +54,7 @@ std::map<std::string, PinnedRun> RunAll() {
       {OfflinePolicy::kCdrf, "CDRF"},
       {OfflinePolicy::kDrfh, "DRFH"},
       {OfflinePolicy::kCmmf, "CMMF"}};
-  for (const TraceInstance& instance : kTraceInstances) {
+  for (const TraceInstance& instance : kGoldenTraceInstances) {
     const CompiledProblem problem = CompileTrace(instance);
     const std::string name = "trace" + std::to_string(instance.machines) +
                              "x" + std::to_string(instance.jobs) + "_s" +
@@ -90,7 +66,7 @@ std::map<std::string, PinnedRun> RunAll() {
           PinnedRun{result.freeze_round, result.round_levels, result.shares};
     }
   }
-  for (const std::uint64_t seed : kMultiClassSeeds) {
+  for (const std::uint64_t seed : kGoldenMultiClassSeeds) {
     const MultiClassResult result =
         SolveMultiClassTsf(CompileMultiClass(RandomMultiClass(6, 5, seed)));
     runs["multiclass6x5_s" + std::to_string(seed) + "/TSF"] =
@@ -216,9 +192,13 @@ TEST(OfflineGolden, LpWorkContract) {
   const auto read = [&](const char* name) {
     return registry.GetCounter(name).Total();
   };
-  const char* const names[] = {"lp.warm_hits", "lp.warm_fallbacks",
-                               "lp.cold_solves", "filling.probes",
-                               "filling.probe_cold_solves"};
+  const char* const names[] = {"lp.warm_hits",
+                               "lp.warm_fallbacks",
+                               "lp.cold_solves",
+                               "filling.probes",
+                               "filling.probe_cold_solves",
+                               "filling.dual_freezes",
+                               "filling.step_witnesses"};
   std::map<std::string, std::int64_t> before;
   for (const char* name : names) before[name] = read(name);
   telemetry::SetEnabled(true);
@@ -233,6 +213,13 @@ TEST(OfflineGolden, LpWorkContract) {
 
   ASSERT_GT(delta["filling.probes"], 0) << summary;
   EXPECT_EQ(delta["filling.probe_cold_solves"], 0) << summary;
+  EXPECT_GT(delta["filling.dual_freezes"], 0) << summary;
+  EXPECT_GT(delta["filling.step_witnesses"], 0) << summary;
+  const double decisions = static_cast<double>(
+      delta["filling.probes"] + delta["filling.dual_freezes"] +
+      delta["filling.step_witnesses"]);
+  EXPECT_LE(static_cast<double>(delta["filling.probes"]), 0.15 * decisions)
+      << summary;
   const double warm_starts = static_cast<double>(delta["lp.warm_hits"] +
                                                  delta["lp.warm_fallbacks"]);
   ASSERT_GT(warm_starts, 0.0) << summary;

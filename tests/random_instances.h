@@ -1,6 +1,7 @@
-// Seeded random offline instances shared by the filling tests: constrained
+// Seeded offline instances shared by the filling tests: constrained
 // single-class sharing problems and multi-class problems on small
-// two-resource clusters.
+// two-resource clusters, and the synthesized trace instances that
+// tests/golden/offline_fill.txt pins.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +12,7 @@
 
 #include "core/cluster.h"
 #include "core/offline/multiclass.h"
+#include "trace/google.h"
 #include "util/rng.h"
 
 namespace tsf {
@@ -77,6 +79,33 @@ inline MultiClassProblem RandomMultiClass(std::size_t users,
     problem.users.push_back(std::move(user));
   }
   return problem;
+}
+
+struct TraceInstance {
+  std::size_t machines;
+  std::size_t jobs;
+  std::uint64_t seed;
+};
+
+// The 30x16 instances are the first eight perfbench offline_fill instances
+// of seed 1; the two 60x40 instances run 4-8 rounds on a larger form.
+inline constexpr TraceInstance kGoldenTraceInstances[] = {
+    {30, 16, 80}, {30, 16, 81}, {30, 16, 82}, {30, 16, 83},
+    {30, 16, 84}, {30, 16, 85}, {30, 16, 86}, {30, 16, 87},
+    {60, 40, 4},  {60, 40, 11}};
+// Multi-class instances RandomMultiClass(6, 5, seed) of the golden file.
+inline constexpr std::uint64_t kGoldenMultiClassSeeds[] = {1, 2, 3, 4};
+
+inline CompiledProblem CompileTrace(const TraceInstance& instance) {
+  trace::GoogleTraceConfig config;
+  config.num_machines = instance.machines;
+  config.num_jobs = instance.jobs;
+  config.seed = instance.seed;
+  Workload workload = trace::SynthesizeGoogleWorkload(config);
+  SharingProblem problem;
+  problem.cluster = std::move(workload.cluster);
+  for (SimJob& job : workload.jobs) problem.jobs.push_back(std::move(job.spec));
+  return Compile(problem);
 }
 
 }  // namespace tsf

@@ -71,6 +71,9 @@ TEST(WorkloadIo, RoundTripOfSynthesizedWorkload) {
   ASSERT_TRUE(WorkloadFromText(WorkloadToText(original), &loaded, &error))
       << error;
   ASSERT_EQ(loaded.jobs.size(), original.jobs.size());
+  // Shortest round-trip formatting: the reloaded workload writes the same
+  // text, every capacity, demand and runtime bit for bit.
+  EXPECT_EQ(WorkloadToText(loaded), WorkloadToText(original));
   EXPECT_EQ(loaded.TotalTasks(), original.TotalTasks());
   for (std::size_t j = 0; j < original.jobs.size(); ++j) {
     EXPECT_EQ(loaded.jobs[j].spec.num_tasks, original.jobs[j].spec.num_tasks);
@@ -147,7 +150,59 @@ INSTANTIATE_TEST_SUITE_P(
                      "resources 1\nmachine 4 attrs -\n"
                      "job a arrival 0 weight 1 demand 1 constraint sometimes 1\n"
                      "runtimes 1\n",
-                     "unknown constraint kind"}),
+                     "unknown constraint kind"},
+        // Numbers are whole tokens and every line ends after its last field.
+        BadInputCase{"runtime_with_suffix",
+                     "resources 1\nmachine 4 attrs -\n"
+                     "job a arrival 0 weight 1 demand 1 constraint none\n"
+                     "runtimes 1.5 2.5x\n",
+                     "line 4: bad task runtime '2.5x'"},
+        BadInputCase{"runtime_nan",
+                     "resources 1\nmachine 4 attrs -\n"
+                     "job a arrival 0 weight 1 demand 1 constraint none\n"
+                     "runtimes 1.5 nan 3\n",
+                     "line 4: bad task runtime 'nan'"},
+        BadInputCase{"resource_count_with_suffix",
+                     "resources 2x\nmachine 4 4 attrs -\n",
+                     "line 1: bad resource count"},
+        BadInputCase{"resources_trailing_junk",
+                     "resources 1 2\nmachine 4 attrs -\n",
+                     "line 1: unexpected '2'"},
+        BadInputCase{"machine_trailing_junk",
+                     "resources 1\nmachine 4 attrs - junk\n",
+                     "line 2: unexpected 'junk'"},
+        BadInputCase{"attribute_id_with_suffix",
+                     "resources 1\nmachine 4 attrs 12abc\n",
+                     "line 2: bad attribute id '12abc'"},
+        BadInputCase{"attribute_id_negative",
+                     "resources 1\nmachine 4 attrs -1\n",
+                     "line 2: bad attribute id '-1'"},
+        BadInputCase{"attribute_id_out_of_range",
+                     "resources 1\nmachine 4 attrs 3,4294967296\n",
+                     "line 2: bad attribute id '4294967296'"},
+        BadInputCase{"attribute_id_list_trailing_comma",
+                     "resources 1\nmachine 4 attrs 3,\n",
+                     "line 2: bad attribute id ''"},
+        BadInputCase{"constraint_id_with_suffix",
+                     "resources 1\nmachine 4 attrs 1\n"
+                     "job a arrival 0 weight 1 demand 1 constraint attrs 1x\n"
+                     "runtimes 1\n",
+                     "line 3: bad attribute id '1x'"},
+        BadInputCase{"whitelist_id_negative",
+                     "resources 1\nmachine 4 attrs -\n"
+                     "job a arrival 0 weight 1 demand 1 constraint whitelist -1\n"
+                     "runtimes 1\n",
+                     "line 3: bad machine id '-1'"},
+        BadInputCase{"job_trailing_junk",
+                     "resources 1\nmachine 4 attrs -\n"
+                     "job a arrival 0 weight 1 demand 1 constraint none extra\n"
+                     "runtimes 1\n",
+                     "line 3: unexpected 'extra'"},
+        BadInputCase{"demand_with_suffix",
+                     "resources 1\nmachine 4 attrs -\n"
+                     "job a arrival 0 weight 1 demand 1e constraint none\n"
+                     "runtimes 1\n",
+                     "line 3: bad demand"}),
     [](const ::testing::TestParamInfo<BadInputCase>& info) {
       return info.param.name;
     });

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -441,6 +442,85 @@ TEST(FlagsDeathTest, UnknownFlagExits) {
   const char* argv[] = {"prog", "--bogus=1"};
   EXPECT_EXIT(Flags(2, const_cast<char**>(argv), {{"real", ""}}),
               ::testing::ExitedWithCode(2), "unknown flag");
+}
+
+// The numeric forms the benches, tools and perfbench pass (perfbench/run.py
+// writes Python floats such as "12.0").
+TEST(Flags, ParsesWholeNumericTokens) {
+  const char* argv[] = {"prog",       "--seed=4242", "--first=-3",
+                        "--seconds",  "12.0",        "--rate=0.5",
+                        "--tiny=1e-3"};
+  Flags flags(7, const_cast<char**>(argv),
+              {{"seed", ""}, {"first", ""}, {"seconds", ""}, {"rate", ""},
+               {"tiny", ""}});
+  EXPECT_EQ(flags.GetInt("seed", 0), 4242);
+  EXPECT_EQ(flags.GetInt("first", 0), -3);
+  EXPECT_EQ(flags.GetDouble("seconds", 0.0), 12.0);
+  EXPECT_EQ(flags.GetDouble("rate", 0.0), 0.5);
+  EXPECT_EQ(flags.GetDouble("tiny", 0.0), 1e-3);
+}
+
+struct BadFlagValue {
+  const char* name;
+  const char* value;
+  bool integer;  // read with GetInt, else with GetDouble
+};
+
+void PrintTo(const BadFlagValue& c, std::ostream* os) { *os << c.name; }
+
+class FlagsBadValueDeathTest : public ::testing::TestWithParam<BadFlagValue> {};
+
+// A value that does not parse whole is a usage error naming the flag, where
+// strtoll/strtod used to read a prefix (or 0) and run on.
+TEST_P(FlagsBadValueDeathTest, ExitsNamingTheFlag) {
+  const std::string arg = std::string("--knob=") + GetParam().value;
+  const char* argv[] = {"prog", arg.c_str()};
+  const Flags flags(2, const_cast<char**>(argv), {{"knob", ""}});
+  const std::string message =
+      std::string("bad value '") + GetParam().value + "' for --knob";
+  if (GetParam().integer) {
+    EXPECT_EXIT(flags.GetInt("knob", 7), ::testing::ExitedWithCode(2),
+                message);
+  } else {
+    EXPECT_EXIT(flags.GetDouble("knob", 7.0), ::testing::ExitedWithCode(2),
+                message);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Values, FlagsBadValueDeathTest,
+    ::testing::Values(BadFlagValue{"int_word", "abc", true},
+                      BadFlagValue{"int_suffix", "12abc", true},
+                      BadFlagValue{"int_fraction", "1.5", true},
+                      BadFlagValue{"int_empty", "", true},
+                      BadFlagValue{"int_overflow", "99999999999999999999", true},
+                      BadFlagValue{"double_word", "abc", false},
+                      BadFlagValue{"double_suffix", "2.5x", false},
+                      BadFlagValue{"double_nan", "nan", false},
+                      BadFlagValue{"double_inf", "inf", false},
+                      BadFlagValue{"double_overflow", "1e999", false}),
+    [](const ::testing::TestParamInfo<BadFlagValue>& info) {
+      return info.param.name;
+    });
+
+TEST(FlagsDeathTest, BadEnvironmentValueNamesTheVariable) {
+  const char* argv[] = {"prog"};
+  const Flags flags(1, const_cast<char**>(argv), {{"some-knob", ""}});
+  EXPECT_EXIT(
+      {
+        ::setenv("TSF_SOME_KNOB", "12abc", 1);
+        flags.GetInt("some-knob", 0);
+      },
+      ::testing::ExitedWithCode(2), "bad value '12abc' for TSF_SOME_KNOB");
+}
+
+TEST(FlagsDeathTest, FailPrintsTheMessageAndTheFlags) {
+  const char* argv[] = {"prog"};
+  const Flags flags(1, const_cast<char**>(argv),
+                    {{"rates", "arrival rates, jobs/sec"}});
+  EXPECT_EXIT(flags.Fail("bad rate '-1' in --rates"),
+              ::testing::ExitedWithCode(2),
+              "error: bad rate '-1' in --rates(.|\n)*--rates +arrival rates");
 }
 
 // ------------------------------------------------------- thread pool ----

@@ -25,6 +25,7 @@
 #include "load/stream.h"
 #include "util/check.h"
 #include "util/flags.h"
+#include "util/text.h"
 
 namespace tsf::load {
 namespace {
@@ -124,16 +125,24 @@ int Main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out", "BENCH_slo.json");
   const std::string shape_name = flags.GetString("shape", "poisson");
   const std::string plan_path = flags.GetString("fault_plan", "");
-  const auto machines =
-      static_cast<std::size_t>(flags.GetInt("machines", 60));
+  const std::int64_t machines_flag = flags.GetInt("machines", 60);
+  if (machines_flag <= 0) flags.Fail("--machines must be positive");
+  const auto machines = static_cast<std::size_t>(machines_flag);
   const double duration = flags.GetDouble("duration", 60.0);
+  if (duration <= 0.0) flags.Fail("--duration must be positive");
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   const double queue_interval = flags.GetDouble("queue_interval", 1.0);
+  if (queue_interval <= 0.0) flags.Fail("--queue_interval must be positive");
 
   std::vector<double> rates;
   for (const std::string& token :
-       SplitCsv(flags.GetString("rates", "0.5,1,2")))
-    rates.push_back(std::stod(token));
+       SplitCsv(flags.GetString("rates", "0.5,1,2"))) {
+    double rate = 0.0;
+    if (!ParseFiniteDouble(token, &rate) || rate <= 0.0)
+      flags.Fail("bad rate '" + token +
+                 "' in --rates: expected a positive number");
+    rates.push_back(rate);
+  }
   const std::vector<std::string> substrates =
       SplitCsv(flags.GetString("substrates", "des,mesos"));
   const std::vector<std::string> policies =
