@@ -38,22 +38,33 @@ void StandardForm::Finalize() {
   TSF_CHECK(!finalized_);
   TSF_CHECK_GT(num_rows(), 0u) << "a standard form needs at least one row";
   finalized_ = true;
-  columns_.assign(num_variables_, {});
-  for (std::size_t row = 0; row < build_rows_.size(); ++row) {
-    // Accumulate duplicates within a row before scattering to columns.
-    std::vector<std::pair<std::size_t, double>>& terms = build_rows_[row];
+  // Accumulate duplicates within each row, then count, offset and scatter
+  // the merged terms into the columns. Rows are visited in order, so every
+  // column comes out row-sorted.
+  column_start_.assign(num_variables_ + 1, 0);
+  for (std::vector<std::pair<std::size_t, double>>& terms : build_rows_) {
     std::sort(terms.begin(), terms.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t merged = 0;
     for (std::size_t k = 0; k < terms.size();) {
-      double value = terms[k].second;
       std::size_t next = k + 1;
+      double value = terms[k].second;
       while (next < terms.size() && terms[next].first == terms[k].first)
         value += terms[next++].second;
-      columns_[terms[k].first].push_back(
-          Entry{static_cast<std::uint32_t>(row), value});
+      terms[merged++] = {terms[k].first, value};
+      ++column_start_[terms[k].first + 1];
       k = next;
     }
+    terms.resize(merged);
   }
+  for (std::size_t j = 0; j < num_variables_; ++j)
+    column_start_[j + 1] += column_start_[j];
+  entries_.resize(column_start_[num_variables_]);
+  std::vector<std::size_t> fill(column_start_.begin(), column_start_.end() - 1);
+  for (std::size_t row = 0; row < build_rows_.size(); ++row)
+    for (const auto& [variable, value] : build_rows_[row])
+      entries_[fill[variable]++] =
+          Entry{static_cast<std::uint32_t>(row), value};
   build_rows_.clear();
   build_rows_.shrink_to_fit();
 }
@@ -71,7 +82,9 @@ double StandardForm::SetCoefficient(std::size_t row, std::size_t variable,
   TSF_CHECK_LT(row, num_rows());
   TSF_CHECK_LT(variable, num_variables_);
   TSF_CHECK(std::isfinite(value));
-  for (Entry& entry : columns_[variable]) {
+  for (std::size_t k = column_start_[variable];
+       k < column_start_[variable + 1]; ++k) {
+    Entry& entry = entries_[k];
     if (entry.row == row) {
       const double previous = entry.value;
       entry.value = value;

@@ -13,9 +13,10 @@
 //
 // Shape immutability is what makes warm re-solving sound: a basis of the old
 // program names columns that still exist, with the same sparsity, in the new
-// one (see revised.h). Columns are stored sparse (one entry list per
-// structural variable) because progressive-filling matrices have ~3 nonzeros
-// per column regardless of instance size.
+// one (see revised.h). Columns are stored sparse because progressive-filling
+// matrices have ~3 nonzeros per column regardless of instance size: one flat
+// CSC array of entries, row-sorted within each column, so that pricing walks
+// the columns in memory order.
 //
 // Row i's dedicated logical slack column (index num_variables() + i) is
 // implied, not stored: +1 for kLessEqual rows, -1 (surplus) for
@@ -24,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -72,8 +74,11 @@ class StandardForm {
   double rhs(std::size_t row) const { return rhs_[row]; }
   const std::vector<double>& rhs() const { return rhs_; }
   const std::vector<double>& objective() const { return objective_; }
-  const std::vector<Entry>& column(std::size_t variable) const {
-    return columns_[variable];
+  // A view into the flat column storage: use it at once, since moving,
+  // assigning or destroying the form invalidates it.
+  std::span<const Entry> column(std::size_t variable) const {
+    return {entries_.data() + column_start_[variable],
+            entries_.data() + column_start_[variable + 1]};
   }
 
  private:
@@ -86,9 +91,10 @@ class StandardForm {
   // Build-time row-major staging; cleared by Finalize.
   std::vector<std::vector<std::pair<std::size_t, double>>> build_rows_;
 
-  // Compiled column-major storage, one entry list per structural variable,
-  // row-sorted within each column.
-  std::vector<std::vector<Entry>> columns_;
+  // Compiled CSC storage: column j's entries, row-sorted, are
+  // entries_[column_start_[j], column_start_[j + 1]).
+  std::vector<Entry> entries_;
+  std::vector<std::size_t> column_start_;
 };
 
 }  // namespace tsf::lp

@@ -107,9 +107,13 @@ double Flags::GetDouble(std::string_view name, double fallback) const {
 }
 
 bool Flags::GetBool(std::string_view name, bool fallback) const {
-  std::string value;
-  if (!Lookup(name, &value)) return fallback;
-  return value == "true" || value == "1" || value == "yes" || value.empty();
+  std::string value, source;
+  if (!Lookup(name, &value, &source)) return fallback;
+  if (value.empty() || value == "true" || value == "1" || value == "yes")
+    return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  Fail("bad value '" + value + "' for " + source +
+       ": expected true|1|yes or false|0|no");
 }
 
 }  // namespace tsf

@@ -26,7 +26,9 @@ class Flags {
 
   // Typed accessors; `name` without leading dashes. Fall back order:
   // command line > TSF_<NAME> env var > fallback argument. GetInt takes a
-  // decimal integer, GetDouble a finite number.
+  // decimal integer, GetDouble a finite number, GetBool true, 1, yes or an
+  // empty value for true and false, 0 or no for false (a bare `--name`
+  // reads true).
   std::string GetString(std::string_view name, std::string_view fallback) const;
   std::int64_t GetInt(std::string_view name, std::int64_t fallback) const;
   double GetDouble(std::string_view name, double fallback) const;

@@ -10,6 +10,11 @@
 // cold two-phase solve inside a FREEZE probe, at least 90% of warm starts
 // succeed, both certificates from the round basis fire, and at most 15% of
 // the FREEZE decisions need a full probe (lp.* and filling.* counters).
+// Beyond those bounds it pins the exact totals of the pivots, warm and cold
+// solves, probes and certificates: they are integer counts like the freeze
+// rounds, so a change that moves one pivot (a different tie-break in the
+// ratio test, a reordered sum that flips a pricing comparison) fails here
+// even when every level stays inside the golden's 1e-9.
 //
 // To bless an intentional change:  TSF_UPDATE_GOLDEN=1 ctest -R OfflineGolden
 #include <gtest/gtest.h>
@@ -192,7 +197,8 @@ TEST(OfflineGolden, LpWorkContract) {
   const auto read = [&](const char* name) {
     return registry.GetCounter(name).Total();
   };
-  const char* const names[] = {"lp.warm_hits",
+  const char* const names[] = {"lp.iterations",
+                               "lp.warm_hits",
                                "lp.warm_fallbacks",
                                "lp.cold_solves",
                                "filling.probes",
@@ -225,6 +231,19 @@ TEST(OfflineGolden, LpWorkContract) {
   ASSERT_GT(warm_starts, 0.0) << summary;
   EXPECT_GE(static_cast<double>(delta["lp.warm_hits"]) / warm_starts, 0.9)
       << summary;
+
+  // The exact pivot path. An intentional change of pivots re-pins these
+  // from the summary line, together with a golden re-bless.
+  const std::map<std::string, std::int64_t> pinned = {
+      {"lp.iterations", 12771},
+      {"lp.warm_hits", 434},
+      {"lp.cold_solves", 68},
+      {"filling.probes", 296},
+      {"filling.dual_freezes", 808},
+      {"filling.step_witnesses", 1848},
+  };
+  for (const auto& [name, total] : pinned)
+    EXPECT_EQ(delta[name], total) << name << ";" << summary;
 #endif
 }
 

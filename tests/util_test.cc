@@ -523,6 +523,41 @@ TEST(FlagsDeathTest, FailPrintsTheMessageAndTheFlags) {
               "error: bad rate '-1' in --rates(.|\n)*--rates +arrival rates");
 }
 
+// Every boolean spelling the CI, tools/*.sh and perfbench/run.py pass; a
+// bare `--knob` (as in `--self_test` or `--smoke`) reads true.
+TEST(Flags, ParsesEveryBooleanSpelling) {
+  const auto read = [](const char* arg, bool fallback) {
+    const char* argv[] = {"prog", arg};
+    const Flags flags(2, const_cast<char**>(argv), {{"knob", ""}});
+    return flags.GetBool("knob", fallback);
+  };
+  for (const char* arg : {"--knob", "--knob=", "--knob=true", "--knob=1"})
+    EXPECT_TRUE(read(arg, false)) << arg;
+  EXPECT_TRUE(read("--knob=yes", false));
+  for (const char* arg : {"--knob=false", "--knob=0", "--knob=no"})
+    EXPECT_FALSE(read(arg, true)) << arg;
+}
+
+// A boolean that is neither spelling used to read as false, so
+// `fuzz_scenarios --smoke=maybe` silently ran the full lanes.
+TEST(FlagsDeathTest, BadBooleanValueNamesTheFlag) {
+  const char* argv[] = {"prog", "--smoke=maybe"};
+  const Flags flags(2, const_cast<char**>(argv), {{"smoke", ""}});
+  EXPECT_EXIT(flags.GetBool("smoke", false), ::testing::ExitedWithCode(2),
+              "bad value 'maybe' for --smoke");
+}
+
+TEST(FlagsDeathTest, BadBooleanEnvironmentValueNamesTheVariable) {
+  const char* argv[] = {"prog"};
+  const Flags flags(1, const_cast<char**>(argv), {{"smoke", ""}});
+  EXPECT_EXIT(
+      {
+        ::setenv("TSF_SMOKE", "maybe", 1);
+        flags.GetBool("smoke", false);
+      },
+      ::testing::ExitedWithCode(2), "bad value 'maybe' for TSF_SMOKE");
+}
+
 // ------------------------------------------------------- thread pool ----
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {

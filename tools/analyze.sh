@@ -26,9 +26,11 @@
 #             1-2048 of fault-injected scenarios on every lane and policy,
 #             invariants armed) plus the injected-bug harness self-test
 #   fma       release preset on -march=x86-64-v3 (FMA and AVX2) in
-#             build-fma/: the golden, equivalence and replay tests, and the
-#             FREEZE certificate tests against full probes, must pass
-#             unmodified (every target builds with -ffp-contract=off)
+#             build-fma/: the golden, equivalence and replay tests, the
+#             FREEZE certificate tests against full probes, and the LP and
+#             filling unit tests on the simplex kernels' 32-byte vectors,
+#             must pass unmodified (every target builds with
+#             -ffp-contract=off)
 #   perfbench build the repo benchmark (perfbench/) and run its self-test:
 #             every workload at toy size, traced and untraced, with its
 #             output checks (python3 perfbench/run.py --self_test)
@@ -121,7 +123,7 @@ run_step() {
       cmake --preset release -B build-fma -DCMAKE_CXX_FLAGS=-march=x86-64-v3 &&
       cmake --build build-fma -j "$(nproc)" &&
       ctest --test-dir build-fma -j "$(nproc)" \
-        -R 'GoldenStream|OfflineGolden|EquivalenceClass|ScenarioReplay|FillingReference|LpDifferential'
+        -R 'GoldenStream|OfflineGolden|EquivalenceClass|ScenarioReplay|FillingReference|LpDifferential|Simplex|ProgressiveFilling|MultiClass'
       ;;
     perfbench)
       python3 perfbench/run.py --self_test

@@ -13,6 +13,7 @@
 // An optional --fault_plan=<file> (chaos text format, machine faults only)
 // overlays the same crash/restart program on every lane; faulted lanes are
 // suffixed "_faults" so they never share a name with fault-free lanes.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -52,13 +53,39 @@ std::string HashHex(std::uint64_t hash) {
   return buffer;
 }
 
-ArrivalShape ShapeFromString(const std::string& name) {
-  if (name == "poisson") return ArrivalShape::kPoisson;
-  if (name == "burst") return ArrivalShape::kBurst;
-  if (name == "uniform") return ArrivalShape::kUniform;
-  TSF_CHECK(false) << "unknown --shape '" << name
-                   << "' (want poisson|burst|uniform)";
-  return ArrivalShape::kPoisson;
+// False for a name that is no arrival shape.
+bool ParseShape(const std::string& name, ArrivalShape* shape) {
+  if (name == "poisson") {
+    *shape = ArrivalShape::kPoisson;
+  } else if (name == "burst") {
+    *shape = ArrivalShape::kBurst;
+  } else if (name == "uniform") {
+    *shape = ArrivalShape::kUniform;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// The comma-separated list in --`flag`; a usage error when it is empty or
+// names something outside `allowed`.
+std::vector<std::string> ParseChoices(const Flags& flags,
+                                      const std::string& flag,
+                                      const std::string& fallback,
+                                      const std::vector<std::string>& allowed) {
+  const std::vector<std::string> values =
+      SplitCsv(flags.GetString(flag, fallback));
+  if (values.empty()) flags.Fail("--" + flag + " lists nothing");
+  for (const std::string& value : values) {
+    if (std::find(allowed.begin(), allowed.end(), value) != allowed.end())
+      continue;
+    std::string want;
+    for (const std::string& choice : allowed)
+      want += (want.empty() ? "" : "|") + choice;
+    flags.Fail("unknown value '" + value + "' in --" + flag + " (want " +
+               want + ")");
+  }
+  return values;
 }
 
 // A class that drew no job has no placements and so no quantiles: its
@@ -124,6 +151,10 @@ int Main(int argc, char** argv) {
        {"fault_plan", "chaos fault-plan file overlaid on every lane"}});
   const std::string out_path = flags.GetString("out", "BENCH_slo.json");
   const std::string shape_name = flags.GetString("shape", "poisson");
+  ArrivalShape shape = ArrivalShape::kPoisson;
+  if (!ParseShape(shape_name, &shape))
+    flags.Fail("unknown --shape '" + shape_name +
+               "' (want poisson|burst|uniform)");
   const std::string plan_path = flags.GetString("fault_plan", "");
   const std::int64_t machines_flag = flags.GetInt("machines", 60);
   if (machines_flag <= 0) flags.Fail("--machines must be positive");
@@ -143,11 +174,11 @@ int Main(int argc, char** argv) {
                  "' in --rates: expected a positive number");
     rates.push_back(rate);
   }
+  if (rates.empty()) flags.Fail("--rates lists nothing");
   const std::vector<std::string> substrates =
-      SplitCsv(flags.GetString("substrates", "des,mesos"));
+      ParseChoices(flags, "substrates", "des,mesos", {"des", "mesos"});
   const std::vector<std::string> policies =
-      SplitCsv(flags.GetString("policies", "tsf,drf"));
-  TSF_CHECK(!rates.empty() && !substrates.empty() && !policies.empty());
+      ParseChoices(flags, "policies", "tsf,drf", {"tsf", "drf"});
 
   // Optional fault overlay, compiled once per substrate. Machine faults
   // only: framework counts vary per lane, so framework-targeted kinds
@@ -157,7 +188,7 @@ int Main(int argc, char** argv) {
   const bool faulted = !plan_path.empty();
   if (faulted) {
     std::ifstream in(plan_path);
-    TSF_CHECK(in.good()) << "cannot read fault plan " << plan_path;
+    if (!in.good()) flags.Fail("cannot read --fault_plan " + plan_path);
     std::stringstream text;
     text << in.rdbuf();
     chaos::FaultPlan plan;
@@ -185,21 +216,17 @@ int Main(int argc, char** argv) {
     config.stream.rate = rate;
     config.stream.duration = duration;
     config.stream.seed = seed;
-    config.stream.shape = ShapeFromString(shape_name);
+    config.stream.shape = shape;
     config.num_machines = machines;
     config.queue_sample_interval = queue_interval;
     for (const std::string& substrate : substrates) {
       for (const std::string& policy : policies) {
-        TSF_CHECK(policy == "tsf" || policy == "drf")
-            << "unknown policy '" << policy << "' (want tsf|drf)";
         LoadReport report;
         if (substrate == "des") {
           report = RunDesLoad(
               config, policy == "tsf" ? OnlinePolicy::Tsf() : OnlinePolicy::Drf(),
               des_faults);
         } else {
-          TSF_CHECK(substrate == "mesos")
-              << "unknown substrate '" << substrate << "' (want des|mesos)";
           report = RunMesosLoad(config,
                                 policy == "tsf" ? mesos::AllocatorPolicy::kTsf
                                                 : mesos::AllocatorPolicy::kDrf,
